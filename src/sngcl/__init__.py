@@ -2,18 +2,11 @@
 
 Train a momentum siamese pair on two Laplacian-smoothed views of an
 attributed graph, then read embeddings off the online encoder for
-downstream node classification.
+downstream node classification.  Everything else stays importable from its
+submodule (``sngcl.training``, ``sngcl.losses``, ...).
 """
 
-from .data import (
-    PlanetoidLoadResult,
-    SbmConfig,
-    export_embeddings,
-    generate_sbm,
-    load_canonical,
-    load_planetoid,
-    save_canonical,
-)
+from .data import SbmConfig, generate_sbm, load_canonical, save_canonical
 from .errors import (
     CheckpointCorruptionError,
     CheckpointError,
@@ -26,59 +19,11 @@ from .errors import (
     SngclError,
     TrainingDivergedError,
 )
-from .evaluation import (
-    AblationReport,
-    EvalReport,
-    Probe,
-    ProbeConfig,
-    Split,
-    SplitSpec,
-    accuracy,
-    evaluate_embeddings,
-    make_split,
-    run_ablation,
-    train_probe,
-)
-from .graph import (
-    Graph,
-    PropagationMatrix,
-    RANDOM_WALK,
-    SYMMETRIC,
-    SmoothedViews,
-    build_graph,
-    propagation_matrix,
-    smooth_features,
-    smoothed_views,
-)
-from .losses import (
-    EmbeddingBatch,
-    LossConfig,
-    LossOutput,
-    row_distance,
-    sample_neighbor_positive,
-    shuffle_negatives,
-    total_loss,
-    triplet_loss,
-    upper_bound_loss,
-)
-from .nn import (
-    AdamState,
-    Mlp,
-    ModelState,
-    adam_step,
-    init_adam,
-    init_mlp,
-    mlp_backward,
-    mlp_forward,
-    momentum_update,
-)
-from .rng import STREAMS, stream_rng
+from .evaluation import SplitSpec, evaluate_embeddings
+from .graph import RANDOM_WALK, SYMMETRIC, build_graph, smooth_features
+from .losses import LossConfig
 from .training import (
     TrainConfig,
-    TrainedModel,
-    VIEW_BOTH,
-    VIEW_GLOBAL_ONLY,
-    VIEW_LOCAL_ONLY,
     encode,
     load_checkpoint,
     save_checkpoint,
@@ -89,71 +34,33 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationReport",
-    "AdamState",
+    # the library surface
+    "LossConfig",
+    "RANDOM_WALK",
+    "SYMMETRIC",
+    "SbmConfig",
+    "SplitSpec",
+    "TrainConfig",
+    "build_graph",
+    "encode",
+    "evaluate_embeddings",
+    "generate_sbm",
+    "load_canonical",
+    "load_checkpoint",
+    "save_canonical",
+    "save_checkpoint",
+    "smooth_features",
+    "train",
+    "write_history",
+    # errors
     "CheckpointCorruptionError",
     "CheckpointError",
     "CheckpointFormatError",
     "CheckpointVersionError",
     "DatasetError",
-    "EmbeddingBatch",
-    "EvalReport",
-    "Graph",
     "InputError",
     "IntegrityError",
-    "LossConfig",
-    "LossOutput",
-    "Mlp",
-    "ModelState",
     "ParseError",
-    "PlanetoidLoadResult",
-    "Probe",
-    "ProbeConfig",
-    "PropagationMatrix",
-    "RANDOM_WALK",
-    "STREAMS",
-    "SYMMETRIC",
-    "SbmConfig",
-    "SmoothedViews",
     "SngclError",
-    "Split",
-    "SplitSpec",
-    "TrainConfig",
-    "TrainedModel",
     "TrainingDivergedError",
-    "VIEW_BOTH",
-    "VIEW_GLOBAL_ONLY",
-    "VIEW_LOCAL_ONLY",
-    "accuracy",
-    "adam_step",
-    "build_graph",
-    "encode",
-    "evaluate_embeddings",
-    "export_embeddings",
-    "generate_sbm",
-    "init_adam",
-    "init_mlp",
-    "load_canonical",
-    "load_checkpoint",
-    "load_planetoid",
-    "make_split",
-    "mlp_backward",
-    "mlp_forward",
-    "momentum_update",
-    "propagation_matrix",
-    "row_distance",
-    "run_ablation",
-    "sample_neighbor_positive",
-    "save_canonical",
-    "save_checkpoint",
-    "shuffle_negatives",
-    "smooth_features",
-    "smoothed_views",
-    "stream_rng",
-    "total_loss",
-    "train",
-    "train_probe",
-    "triplet_loss",
-    "upper_bound_loss",
-    "write_history",
 ]

@@ -29,16 +29,15 @@ from .data import (
 )
 from .errors import InputError, ParseError, SngclError
 from .evaluation import SplitSpec, evaluate_embeddings, run_ablation
-from .graph import smoothed_views
-from .losses import LossConfig
+from .graph import RANDOM_WALK, SYMMETRIC, smooth_features
 from .training import (
-    ANCHOR_MODES,
     EMBED_MODES,
     EMBED_ONLINE_LOCAL,
-    TrainConfig,
-    VIEW_MODES,
+    HYPERPARAMETERS,
     _config_to_lines,
+    config_from_values,
     encode,
+    int_list,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -49,51 +48,6 @@ from .training import (
 CHECKPOINT_NAME = "model.ckpt"
 HISTORY_NAME = "history.tsv"
 RECORD_NAME = "record.txt"
-
-
-def _dims(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-# Keys a --config file may set, with their value parsers.  Flags given on
-# the command line always win over the file.
-_CONFIG_KEYS = {
-    "t": int,
-    "epochs": int,
-    "lr": float,
-    "momentum": float,
-    "seed": int,
-    "alpha": float,
-    "beta": float,
-    "k": int,
-    "n_neighbors": int,
-    "omega1": float,
-    "omega2": float,
-    "view_mode": str,
-    "anchor_mode": str,
-    "normalize_embeddings": _parse_bool,
-    "encoder_dims": _dims,
-    "predictor_dims": _dims,
-}
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -119,40 +73,19 @@ def _flag_given(argv, dest: str) -> bool:
 
 
 def _apply_config_file(args, argv) -> None:
+    """Fill hyperparameters from ``--config``; flags on the command line win."""
     if args.config is None:
         return
+    table = {h.name: h for h in HYPERPARAMETERS}
     for key, raw in read_config_file(args.config).items():
-        if key not in _CONFIG_KEYS:
+        if key not in table:
             raise ParseError(f"{args.config}: unknown config key {key!r}")
         if _flag_given(argv, key):
             continue
         try:
-            setattr(args, key, _CONFIG_KEYS[key](raw))
+            setattr(args, key, table[key].parse(raw))
         except ValueError as exc:
             raise ParseError(f"{args.config}: {key}: {exc}") from exc
-
-
-def _train_config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        t=args.t,
-        epochs=args.epochs,
-        lr=args.lr,
-        momentum=args.momentum,
-        loss=LossConfig(
-            alpha=args.alpha,
-            beta=args.beta,
-            k=args.k,
-            n_neighbors=args.n_neighbors,
-            omega1=args.omega1,
-            omega2=args.omega2,
-        ),
-        encoder_dims=args.encoder_dims,
-        predictor_dims=args.predictor_dims,
-        seed=args.seed,
-        view_mode=args.view_mode,
-        normalize_embeddings=args.normalize_embeddings,
-        anchor_mode=args.anchor_mode,
-    )
 
 
 def _split_spec(args) -> SplitSpec:
@@ -218,11 +151,11 @@ def cmd_preprocess(args, argv) -> int:
     if result.n_dangling:
         print(f"skipped {result.n_dangling} citation line(s) naming unknown ids")
     if args.views_out is not None:
-        views = smoothed_views(g, args.t)
         out = Path(args.views_out)
         out.mkdir(parents=True, exist_ok=True)
-        np.savetxt(out / "x_global.tsv", views.x_global, fmt="%.17g", delimiter="\t")
-        np.savetxt(out / "x_local.tsv", views.x_local, fmt="%.17g", delimiter="\t")
+        for name, mode in (("x_global.tsv", RANDOM_WALK), ("x_local.tsv", SYMMETRIC)):
+            x = smooth_features(g, args.t, mode)
+            np.savetxt(out / name, x, fmt="%.17g", delimiter="\t")
         print(f"smoothed views (t={args.t}) -> {out}")
     return 0
 
@@ -232,7 +165,7 @@ def cmd_train(args, argv) -> int:
     t0 = time.perf_counter()
     graph = load_canonical(args.data)
     t_load = time.perf_counter()
-    model = train(graph, _train_config_from_args(args))
+    model = train(graph, config_from_values(vars(args)))
     t_train = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -334,7 +267,7 @@ def cmd_ablate(args, argv) -> int:
     spec = _split_spec(args)
     report = run_ablation(
         graph,
-        _train_config_from_args(args),
+        config_from_values(vars(args)),
         args.train_seeds,
         spec,
         embed_output=args.embedding,
@@ -377,39 +310,18 @@ def cmd_ablate(args, argv) -> int:
 
 
 def _hyper_parser() -> argparse.ArgumentParser:
+    """One flag per row of the hyperparameter table, plus ``--config``."""
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("model hyperparameters")
-    g.add_argument("--t", type=int, default=3, help="smoothing filter depth")
-    g.add_argument("--epochs", type=int, default=500, help="training epochs")
-    g.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate")
-    g.add_argument("--momentum", type=float, default=0.8, help="target-network EMA momentum")
-    g.add_argument("--seed", type=int, default=0, help="seed for init and sampling")
-    g.add_argument("--alpha", type=float, default=1.0, help="triplet margin")
-    g.add_argument("--beta", type=float, default=1.0, help="upper-bound slack beyond the margin")
-    g.add_argument("--k", type=int, default=5, help="shuffled negatives per node")
-    g.add_argument("--n-neighbors", type=int, default=5, help="sampled neighbors per node")
-    g.add_argument("--omega1", type=float, default=1.0, help="structural-loss weight")
-    g.add_argument("--omega2", type=float, default=1.0, help="neighbor-loss weight")
-    g.add_argument(
-        "--view-mode", choices=VIEW_MODES, default="both",
-        help="which smoothed views feed the online/target networks",
-    )
-    g.add_argument(
-        "--anchor-mode", choices=ANCHOR_MODES, default="predictor",
-        help="take the anchor after the predictor or straight off the encoder",
-    )
-    g.add_argument(
-        "--normalize-embeddings", action="store_true",
-        help="l2-normalize anchor and positive rows before the losses",
-    )
-    g.add_argument(
-        "--encoder-dims", type=_dims, default=None, metavar="D0,D1,...",
-        help="encoder layer widths (default: n_features,512,256)",
-    )
-    g.add_argument(
-        "--predictor-dims", type=_dims, default=None, metavar="D0,D1,...",
-        help="predictor layer widths (default: d,512,d)",
-    )
+    for h in HYPERPARAMETERS:
+        flag = "--" + h.name.replace("_", "-")
+        if h.kind is bool:
+            g.add_argument(flag, action="store_true", default=h.default, help=h.help)
+        else:
+            g.add_argument(
+                flag, type=h.parse, default=h.default, choices=h.choices,
+                metavar=h.metavar, help=h.help,
+            )
     g.add_argument(
         "--config", type=Path, default=None, metavar="PATH",
         help="key=value file supplying hyperparameter defaults; flags win",
@@ -499,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate over split seeds 0..N-1",
     )
     p.add_argument(
-        "--seeds", type=_int_list, default=None, metavar="S0,S1,...",
+        "--seeds", type=int_list, default=None, metavar="S0,S1,...",
         help="explicit split seeds (overrides --splits)",
     )
     p.add_argument("--out", default=None, metavar="PATH", help="write the report here instead of stdout")
@@ -522,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument(
-        "--train-seeds", type=_int_list, default=[0, 1, 2], metavar="S0,S1,...",
+        "--train-seeds", type=int_list, default=[0, 1, 2], metavar="S0,S1,...",
         help="one training run per seed per view mode",
     )
     _add_split_args(p)

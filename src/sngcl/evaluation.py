@@ -104,9 +104,6 @@ class ProbeConfig:
     lr: float = 1e-2
     epochs: int = 300
     l2: float = 1e-4
-    # The zero-initialized full-batch fit is deterministic, so this seed is
-    # currently inert; it is accepted so callers can pin one anyway.
-    seed: int = 0
 
 
 @dataclass

@@ -50,12 +50,6 @@ class Graph:
         """Unaugmented degree of every node."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
-    def labeled_nodes(self) -> np.ndarray:
-        """Indices of nodes carrying a label."""
-        if self.labels is None:
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self.labels >= 0)
-
     def validate(self) -> None:
         n = self.n_nodes
         if self.adjacency.shape != (n, n):
@@ -63,6 +57,12 @@ class Graph:
         if self.features.shape[0] != n:
             raise InputError(
                 f"feature rows ({self.features.shape[0]}) != n_nodes ({n})"
+            )
+        bad = ~np.isfinite(self.features)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise InputError(
+                f"non-finite feature {self.features[row, col]} at node {row}, column {col}"
             )
         if (self.adjacency != self.adjacency.T).nnz != 0:
             raise InputError("adjacency must be symmetric")
@@ -122,16 +122,9 @@ def build_graph(
     return graph
 
 
-@dataclass
-class PropagationMatrix:
-    """One of the two normalized propagation operators, as sparse CSR."""
-
-    mode: str
-    matrix: sp.csr_matrix
-
-
-def propagation_matrix(graph: Graph, mode: str) -> PropagationMatrix:
-    """Normalized propagation operator over the self-loop augmented graph.
+def propagation_matrix(graph: Graph, mode: str) -> sp.csr_matrix:
+    """Normalized propagation operator over the self-loop augmented graph, as
+    sparse CSR.
 
     The self-loop guarantees every augmented degree is >= 1, so no division
     by zero is possible even for isolated nodes.
@@ -146,7 +139,7 @@ def propagation_matrix(graph: Graph, mode: str) -> PropagationMatrix:
     else:
         s = sp.diags(1.0 / np.sqrt(d_hat))
         h = s @ a_hat @ s
-    return PropagationMatrix(mode=mode, matrix=h.tocsr())
+    return h.tocsr()
 
 
 def smooth_features(graph: Graph, t: int, mode: str) -> np.ndarray:
@@ -159,24 +152,7 @@ def smooth_features(graph: Graph, t: int, mode: str) -> np.ndarray:
     x = graph.features.copy()
     if t == 0:
         return x
-    h = propagation_matrix(graph, mode).matrix
+    h = propagation_matrix(graph, mode)
     for _ in range(t):
         x = h @ x
     return np.ascontiguousarray(x)
-
-
-@dataclass
-class SmoothedViews:
-    """The two smoothed feature matrices fed to the siamese networks."""
-
-    x_global: np.ndarray  # random-walk filter, target-network input
-    x_local: np.ndarray  # symmetric filter, online-network input
-    t: int
-
-
-def smoothed_views(graph: Graph, t: int) -> SmoothedViews:
-    return SmoothedViews(
-        x_global=smooth_features(graph, t, RANDOM_WALK),
-        x_local=smooth_features(graph, t, SYMMETRIC),
-        t=t,
-    )

@@ -9,7 +9,7 @@ hinge bracket the subgradient 0 is chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,12 @@ class LossConfig:
     bound always enters with weight 1).
     """
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    k: int = 5
-    n_neighbors: int = 5
-    omega1: float = 1.0
-    omega2: float = 1.0
+    alpha: float = field(default=1.0, metadata={"help": "triplet margin"})
+    beta: float = field(default=1.0, metadata={"help": "upper-bound slack beyond the margin"})
+    k: int = field(default=5, metadata={"help": "shuffled negatives per node"})
+    n_neighbors: int = field(default=5, metadata={"help": "sampled neighbors per node"})
+    omega1: float = field(default=1.0, metadata={"help": "structural-loss weight"})
+    omega2: float = field(default=1.0, metadata={"help": "neighbor-loss weight"})
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
@@ -105,38 +105,6 @@ def neighbor_mean_backward(
     for j in range(m):
         np.add.at(d_anchor, idx[:, j], share)
     return d_anchor
-
-
-def sample_neighbor_positive(
-    anchor: np.ndarray,
-    graph: Graph,
-    n_neighbors: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Neighbor positive: per-node mean of sampled 1-hop anchor rows."""
-    if anchor.shape[0] != graph.n_nodes:
-        raise InputError(
-            f"anchor rows ({anchor.shape[0]}) != graph nodes ({graph.n_nodes})"
-        )
-    return neighbor_mean(anchor, sample_neighbor_indices(graph, n_neighbors, rng))
-
-
-def shuffle_negatives(
-    anchor: np.ndarray, k: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """k independent uniform row permutations of the anchor matrix."""
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    n = anchor.shape[0]
-    return [anchor[rng.permutation(n)] for _ in range(k)]
-
-
-def row_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row Euclidean distance between two equally shaped matrices."""
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = a - b
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _squared_row_distances(anchor, positive, negatives):

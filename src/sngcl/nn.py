@@ -132,19 +132,11 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_adam(
-    params: list[np.ndarray],
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def init_adam(params: list[np.ndarray]) -> AdamState:
     return AdamState(
         step=0,
         m1=[np.zeros_like(p) for p in params],
         m2=[np.zeros_like(p) for p in params],
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 

@@ -1,8 +1,8 @@
 """Named random streams derived from a single run seed.
 
 Every stochastic subsystem (parameter init, negative shuffling, neighbor
-sampling, split generation, probe training) draws from its own stream so that
-changing, say, the number of negatives never perturbs the split sequence.
+sampling, split generation) draws from its own stream so that changing, say,
+the number of negatives never perturbs the split sequence.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ STREAMS = {
     "shuffle": 1,
     "neighbor": 2,
     "split": 3,
-    "probe": 4,
 }
 
 

@@ -10,7 +10,8 @@ target.  Smoothing runs exactly once before the loop.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -49,7 +50,13 @@ from .rng import stream_rng
 VIEW_BOTH = "both"
 VIEW_GLOBAL_ONLY = "global-only"
 VIEW_LOCAL_ONLY = "local-only"
-VIEW_MODES = (VIEW_BOTH, VIEW_GLOBAL_ONLY, VIEW_LOCAL_ONLY)
+# view mode -> (online network's filter, target network's filter)
+VIEW_FILTERS = {
+    VIEW_BOTH: (SYMMETRIC, RANDOM_WALK),
+    VIEW_GLOBAL_ONLY: (RANDOM_WALK, RANDOM_WALK),
+    VIEW_LOCAL_ONLY: (SYMMETRIC, SYMMETRIC),
+}
+VIEW_MODES = tuple(VIEW_FILTERS)
 
 ANCHOR_PREDICTOR = "predictor"
 ANCHOR_ENCODER = "encoder"
@@ -61,23 +68,44 @@ EMBED_MODES = (EMBED_ONLINE_LOCAL, EMBED_CONCAT_BOTH)
 
 DEFAULT_HIDDEN = 512
 DEFAULT_EMBED = 256
+DIMS_METAVAR = "D0,D1,..."
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrainConfig:
-    """All hyperparameters of a training run."""
+    """All hyperparameters of a training run.
 
-    t: int = 3
-    epochs: int = 500
-    lr: float = 1e-3
-    momentum: float = 0.8
+    Each field, together with the fields of ``loss``, is one row of the
+    hyperparameter table (:data:`HYPERPARAMETERS`): its default and its
+    ``metadata`` help text and choices give the CLI flag and ``--config`` key,
+    and the field order is the order of the checkpoint metadata.
+    """
+
+    t: int = field(default=3, metadata={"help": "smoothing filter depth"})
+    epochs: int = field(default=500, metadata={"help": "training epochs"})
+    lr: float = field(default=1e-3, metadata={"help": "Adam learning rate"})
+    momentum: float = field(default=0.8, metadata={"help": "target-network EMA momentum"})
+    seed: int = field(default=0, metadata={"help": "seed for init and sampling"})
+    view_mode: str = field(default=VIEW_BOTH, metadata={
+        "help": "which smoothed views feed the online/target networks",
+        "choices": VIEW_MODES,
+    })
+    normalize_embeddings: bool = field(default=False, metadata={
+        "help": "l2-normalize anchor and positive rows before the losses",
+    })
+    anchor_mode: str = field(default=ANCHOR_PREDICTOR, metadata={
+        "help": "take the anchor after the predictor or straight off the encoder",
+        "choices": ANCHOR_MODES,
+    })
+    encoder_dims: list[int] | None = field(default=None, metadata={
+        "help": "encoder layer widths (default: n_features,512,256)",
+        "metavar": DIMS_METAVAR,
+    })
+    predictor_dims: list[int] | None = field(default=None, metadata={
+        "help": "predictor layer widths (default: d,512,d)",
+        "metavar": DIMS_METAVAR,
+    })
     loss: LossConfig = field(default_factory=LossConfig)
-    encoder_dims: list[int] | None = None  # None -> [n_features, 512, 256]
-    predictor_dims: list[int] | None = None  # None -> [d, 512, d]
-    seed: int = 0
-    view_mode: str = VIEW_BOTH
-    normalize_embeddings: bool = False
-    anchor_mode: str = ANCHOR_PREDICTOR
 
     def resolved(self, n_features: int) -> "TrainConfig":
         """Copy with encoder/predictor widths filled in from the data."""
@@ -97,8 +125,7 @@ class TrainConfig:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.momentum <= 1.0:
             raise InputError(f"momentum must lie in [0, 1], got {self.momentum}")
-        if self.view_mode not in VIEW_MODES:
-            raise InputError(f"unknown view mode {self.view_mode!r}; known: {VIEW_MODES}")
+        _view_filters(self.view_mode)
         if self.anchor_mode not in ANCHOR_MODES:
             raise InputError(
                 f"unknown anchor mode {self.anchor_mode!r}; known: {ANCHOR_MODES}"
@@ -121,6 +148,97 @@ class TrainConfig:
             )
 
 
+# --- the hyperparameter table -----------------------------------------------
+
+
+def int_list(text: str) -> list[int]:
+    """Parse comma-separated integers such as ``16,512,256``."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
+
+
+def _parse_bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# field annotation -> (parse text, format value).  The formats are those of
+# checkpoint format version 1: ``repr`` for floats and 0/1 for booleans.
+_CODECS = {
+    int: (int, str),
+    float: (float, repr),
+    str: (str, str),
+    bool: (_parse_bool, lambda v: str(int(v))),
+    list[int] | None: (int_list, lambda v: ",".join(str(d) for d in v)),
+}
+
+
+@dataclass(frozen=True)
+class Hyperparameter:
+    """One row of the hyperparameter table, read off a config field."""
+
+    name: str
+    kind: object  # the field's annotation
+    default: object
+    help: str
+    choices: tuple | None
+    metavar: str | None
+    parse: Callable[[str], object]  # raises ValueError on malformed text
+    format: Callable[[object], str]
+
+
+def _table(cls) -> list[Hyperparameter]:
+    rows = []
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            rows += _table(kind)
+            continue
+        parse, fmt = _CODECS[kind]
+        rows.append(Hyperparameter(
+            name=f.name, kind=kind, default=f.default, help=f.metadata["help"],
+            choices=f.metadata.get("choices"), metavar=f.metadata.get("metavar"),
+            parse=parse, format=fmt,
+        ))
+    return rows
+
+
+# TrainConfig's fields with the nested LossConfig's spliced in at ``loss``.
+HYPERPARAMETERS: tuple[Hyperparameter, ...] = tuple(_table(TrainConfig))
+
+
+def config_values(config) -> dict[str, object]:
+    """Flat name -> value map of a config, in table order."""
+    values = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            values.update(config_values(value))
+        else:
+            values[f.name] = value
+    return values
+
+
+def config_from_values(values, cls=TrainConfig):
+    """Build a config from a flat name -> value map; absent names keep their
+    defaults and names outside the table are ignored."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            kwargs[f.name] = config_from_values(values, hints[f.name])
+        elif f.name in values:
+            kwargs[f.name] = values[f.name]
+    return cls(**kwargs)
+
+
 @dataclass
 class TrainedModel:
     """Model state plus the resolved config and per-epoch loss history.
@@ -134,23 +252,23 @@ class TrainedModel:
     history: np.ndarray
 
 
+def _view_filters(view_mode: str) -> tuple[str, str]:
+    try:
+        return VIEW_FILTERS[view_mode]
+    except KeyError:
+        raise InputError(f"unknown view mode {view_mode!r}; known: {VIEW_MODES}") from None
+
+
 def resolve_view_inputs(
     graph: Graph, t: int, view_mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """(online input, target input) for a view mode; single-view ablations
-    feed the same smoothed matrix to both networks."""
-    if view_mode == VIEW_BOTH:
-        return (
-            smooth_features(graph, t, SYMMETRIC),
-            smooth_features(graph, t, RANDOM_WALK),
-        )
-    if view_mode == VIEW_GLOBAL_ONLY:
-        x = smooth_features(graph, t, RANDOM_WALK)
-        return x, x
-    if view_mode == VIEW_LOCAL_ONLY:
-        x = smooth_features(graph, t, SYMMETRIC)
-        return x, x
-    raise InputError(f"unknown view mode {view_mode!r}")
+    feed the same smoothed matrix to both networks, smoothed once."""
+    online_filter, target_filter = _view_filters(view_mode)
+    online_input = smooth_features(graph, t, online_filter)
+    if target_filter == online_filter:
+        return online_input, online_input
+    return online_input, smooth_features(graph, t, target_filter)
 
 
 @dataclass
@@ -290,6 +408,12 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
         fwd = _epoch_forward(
             online, predictor, target, online_input, target_input, plan, config
         )
+        # A NaN makes every hinge bracket test False, which would report a
+        # loss of 0 instead of failing.
+        checked = (("anchor", fwd.anchor), ("structural positive", fwd.batch.positive_struct))
+        for name, arr in checked:
+            if not np.isfinite(arr).all():
+                raise TrainingDivergedError(f"non-finite {name} at epoch {epoch}")
         out = total_loss(fwd.batch, loss_cfg)
         if not np.isfinite(out.total):
             raise TrainingDivergedError(
@@ -325,10 +449,11 @@ def encode(model: TrainedModel, graph: Graph, output: str = EMBED_ONLINE_LOCAL) 
             f"graph feature width {graph.n_features} != training width "
             f"{cfg.encoder_dims[0]}"
         )
+    if output == EMBED_ONLINE_LOCAL:
+        online_input = smooth_features(graph, cfg.t, _view_filters(cfg.view_mode)[0])
+        return mlp_forward(model.model.online_encoder, online_input)[0]
     online_input, target_input = resolve_view_inputs(graph, cfg.t, cfg.view_mode)
     z_online, _ = mlp_forward(model.model.online_encoder, online_input)
-    if output == EMBED_ONLINE_LOCAL:
-        return z_online
     z_target, _ = mlp_forward(model.model.target_encoder, target_input)
     return np.hstack([z_online, z_target])
 
@@ -345,67 +470,27 @@ _MAX_NAME = 1 << 16
 _MAX_RANK = 8
 
 
+# The optimizer's hyperparameters are the AdamState fields with a default;
+# the metadata stores them after the table, prefixed with "adam_".
+_ADAM_FIELDS = [f.name for f in fields(AdamState) if f.default is not MISSING]
+
+
 def _config_to_lines(config: TrainConfig, optimizer: AdamState) -> str:
-    loss = config.loss
-    items = [
-        ("t", config.t),
-        ("epochs", config.epochs),
-        ("lr", repr(config.lr)),
-        ("momentum", repr(config.momentum)),
-        ("seed", config.seed),
-        ("view_mode", config.view_mode),
-        ("normalize_embeddings", int(config.normalize_embeddings)),
-        ("anchor_mode", config.anchor_mode),
-        ("encoder_dims", ",".join(str(d) for d in config.encoder_dims)),
-        ("predictor_dims", ",".join(str(d) for d in config.predictor_dims)),
-        ("alpha", repr(loss.alpha)),
-        ("beta", repr(loss.beta)),
-        ("k", loss.k),
-        ("n_neighbors", loss.n_neighbors),
-        ("omega1", repr(loss.omega1)),
-        ("omega2", repr(loss.omega2)),
-        ("adam_beta1", repr(optimizer.beta1)),
-        ("adam_beta2", repr(optimizer.beta2)),
-        ("adam_eps", repr(optimizer.eps)),
-    ]
+    values = config_values(config)
+    items = [(h.name, h.format(values[h.name])) for h in HYPERPARAMETERS]
+    items += [(f"adam_{name}", repr(getattr(optimizer, name))) for name in _ADAM_FIELDS]
     return "".join(f"{key}={value}\n" for key, value in items)
 
 
 def _config_from_lines(text: str) -> tuple[TrainConfig, dict]:
-    kv = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        kv[key] = value
+    kv = dict(line.partition("=")[::2] for line in text.splitlines() if line)
     try:
-        config = TrainConfig(
-            t=int(kv["t"]),
-            epochs=int(kv["epochs"]),
-            lr=float(kv["lr"]),
-            momentum=float(kv["momentum"]),
-            loss=LossConfig(
-                alpha=float(kv["alpha"]),
-                beta=float(kv["beta"]),
-                k=int(kv["k"]),
-                n_neighbors=int(kv["n_neighbors"]),
-                omega1=float(kv["omega1"]),
-                omega2=float(kv["omega2"]),
-            ),
-            encoder_dims=[int(d) for d in kv["encoder_dims"].split(",")],
-            predictor_dims=[int(d) for d in kv["predictor_dims"].split(",")],
-            seed=int(kv["seed"]),
-            view_mode=kv["view_mode"],
-            normalize_embeddings=bool(int(kv["normalize_embeddings"])),
-            anchor_mode=kv["anchor_mode"],
-        )
+        config = config_from_values({h.name: h.parse(kv[h.name]) for h in HYPERPARAMETERS})
+        adam_kv = {name: float(kv[f"adam_{name}"]) for name in _ADAM_FIELDS}
     except KeyError as exc:
         raise CheckpointCorruptionError(f"metadata missing key {exc}") from exc
-    adam_kv = {
-        "beta1": float(kv.get("adam_beta1", 0.9)),
-        "beta2": float(kv.get("adam_beta2", 0.999)),
-        "eps": float(kv.get("adam_eps", 1e-8)),
-    }
+    except ValueError as exc:
+        raise CheckpointCorruptionError(f"malformed metadata: {exc}") from exc
     return config, adam_kv
 
 
@@ -521,9 +606,7 @@ def load_checkpoint(path) -> TrainedModel:
         step=int(_take(tensors, "optimizer/step")[0]),
         m1=[_take(tensors, f"optimizer/m1/{i}").copy() for i in range(n_params)],
         m2=[_take(tensors, f"optimizer/m2/{i}").copy() for i in range(n_params)],
-        beta1=adam_kv["beta1"],
-        beta2=adam_kv["beta2"],
-        eps=adam_kv["eps"],
+        **adam_kv,
     )
     history = _take(tensors, "history").copy()
     state = ModelState(

@@ -1,9 +1,11 @@
 """Exercise the command line surface through run_command."""
 
+import numpy as np
 import pytest
 
 from sngcl.cli import read_config_file, run_command
 from sngcl.errors import ParseError
+from sngcl.training import HYPERPARAMETERS, config_values, load_checkpoint
 
 
 @pytest.fixture()
@@ -101,12 +103,82 @@ def test_help_exits_0_and_shows_defaults(capsys):
     assert "--config" in out
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_help_shows_every_hyperparameter_with_its_dataclass_default(command, capsys):
+    assert run_command([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for h in HYPERPARAMETERS:
+        assert "--" + h.name.replace("_", "-") in out
+        assert f"{h.help} (default: {h.default})" in out
+
+
+# A valid value other than the default for every hyperparameter, as --config
+# text.  A new row in the table fails the test below until it gets one here.
+NON_DEFAULT = {
+    "t": "2",
+    "epochs": "2",
+    "lr": "0.002",
+    "momentum": "0.75",
+    "seed": "3",
+    "view_mode": "global-only",
+    "normalize_embeddings": "1",
+    "anchor_mode": "encoder",
+    "encoder_dims": "16,8,4",
+    "predictor_dims": "4,6,4",
+    "alpha": "0.9",
+    "beta": "0.5",
+    "k": "3",
+    "n_neighbors": "2",
+    "omega1": "0.5",
+    "omega2": "2.0",
+}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_every_hyperparameter_reaches_the_record_and_the_checkpoint(
+    source, sbm_dir, tmp_path
+):
+    assert set(NON_DEFAULT) == {h.name for h in HYPERPARAMETERS}
+    if source == "flags":
+        args = []
+        for h in HYPERPARAMETERS:
+            args.append("--" + h.name.replace("_", "-"))
+            if h.kind is not bool:
+                args.append(NON_DEFAULT[h.name])
+    else:
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in NON_DEFAULT.items()))
+        args = ["--config", str(cfg)]
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *args, "--out", str(run_dir)]) == 0
+
+    record = (run_dir / "record.txt").read_text().splitlines()
+    values = config_values(load_checkpoint(run_dir / "model.ckpt").config)
+    for h in HYPERPARAMETERS:
+        assert f"{h.name}={NON_DEFAULT[h.name]}" in record
+        assert values[h.name] == h.parse(NON_DEFAULT[h.name])
+        assert values[h.name] != h.default
+
+
 def test_runtime_errors_exit_1_with_diagnostic(tmp_path, capsys):
     assert run_command([
         "train", "--data", str(tmp_path / "nowhere"), "--out", str(tmp_path / "m"),
     ]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+    # a NaN feature fails at load time instead of training to loss 0.0
+    nan_dir = tmp_path / "nan"
+    run_command(["gen-sbm", "--nodes-per-block", "5", "--out", str(nan_dir)])
+    rows = (nan_dir / "features.tsv").read_text().splitlines()
+    rows[2] = "\t".join(["nan"] + rows[2].split("\t")[1:])
+    (nan_dir / "features.tsv").write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert run_command([
+        "train", "--data", str(nan_dir), "--epochs", "2", "--out", str(tmp_path / "n"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite feature" in err
 
     # corrupt checkpoint -> dataset loads, checkpoint read fails
     bogus = tmp_path / "bogus.ckpt"
@@ -186,10 +258,12 @@ def test_preprocess_builds_canonical_dir_and_optional_views(tmp_path, capsys):
 
     g = load_canonical(data_dir)
     assert g.n_nodes == 3 and g.n_features == 2
-    for name in ("x_global.tsv", "x_local.tsv"):
-        rows = (views_dir / name).read_text().splitlines()
-        assert len(rows) == 3
-        assert len(rows[0].split("\t")) == 2
+    from sngcl.graph import RANDOM_WALK, SYMMETRIC, smooth_features
+
+    for name, mode in (("x_global.tsv", RANDOM_WALK), ("x_local.tsv", SYMMETRIC)):
+        written = np.loadtxt(views_dir / name, delimiter="\t")
+        assert written.shape == (3, 2)
+        np.testing.assert_array_equal(written, smooth_features(g, 2, mode))
 
 
 def test_ablate_reports_all_view_modes(sbm_dir, tmp_path):

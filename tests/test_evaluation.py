@@ -156,13 +156,16 @@ def test_probe_loss_trajectory_is_recorded_and_non_increasing():
     assert probe.losses[0] == pytest.approx(np.log(4))
 
 
-def test_probe_config_accepts_a_seed():
-    # the fit is deterministic, so the seed changes nothing today
+def test_probe_config_fit_is_bitwise_repeatable():
+    # the zero-initialized full-batch fit draws nothing at random
     x = np.eye(4)
     y = np.array([0, 1, 0, 1])
-    a = train_probe(x, y, 2, ProbeConfig(seed=0))
-    b = train_probe(x, y, 2, ProbeConfig(seed=9))
+    cfg = ProbeConfig(lr=0.05, epochs=40, l2=1e-3)
+    a = train_probe(x, y, 2, cfg)
+    b = train_probe(x, y, 2, cfg)
     assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.bias.tobytes() == b.bias.tobytes()
+    assert a.losses.tobytes() == b.losses.tobytes()
 
 
 def test_probe_input_checks():

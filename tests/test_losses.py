@@ -13,10 +13,7 @@ from sngcl.losses import (
     l2_normalize_rows,
     neighbor_mean,
     neighbor_mean_backward,
-    row_distance,
     sample_neighbor_indices,
-    sample_neighbor_positive,
-    shuffle_negatives,
     total_loss,
     triplet_loss,
     upper_bound_loss,
@@ -187,16 +184,31 @@ def test_loss_config_validation():
         LossConfig(omega1=-1.0)
 
 
-def test_shuffle_negatives_are_row_permutations_of_the_anchor():
-    anchor = np.arange(12.0).reshape(6, 2)
-    negatives = shuffle_negatives(anchor, 4, stream_rng(0, "shuffle"))
-    assert len(negatives) == 4
-    for neg in negatives:
-        np.testing.assert_array_equal(
-            np.sort(neg, axis=0), np.sort(anchor, axis=0)
+def test_shuffle_negatives_are_row_permutations_of_the_anchor(sbm_tiny):
+    # The epoch's negatives are the anchor's rows under the plan's shuffle
+    # permutations, and the shuffle stream reproduces them.
+    from sngcl.nn import init_mlp
+    from sngcl.training import EpochPlan, TrainConfig, _epoch_forward
+
+    config = TrainConfig(encoder_dims=[16, 6, 3], predictor_dims=[3, 5, 3])
+    rng = stream_rng(0, "init")
+    online, predictor = init_mlp(config.encoder_dims, rng), init_mlp(config.predictor_dims, rng)
+    x = sbm_tiny.features
+
+    def negatives():
+        shuffle = stream_rng(0, "shuffle")
+        plan = EpochPlan(
+            neighbor_idx=sample_neighbor_indices(sbm_tiny, 2, stream_rng(0, "neighbor")),
+            permutations=[shuffle.permutation(sbm_tiny.n_nodes) for _ in range(4)],
         )
-    again = shuffle_negatives(anchor, 4, stream_rng(0, "shuffle"))
-    for a, b in zip(negatives, again):
+        fwd = _epoch_forward(online, predictor, online, x, x, plan, config)
+        return fwd.anchor, fwd.batch.negatives
+
+    anchor, negs = negatives()
+    assert len(negs) == 4
+    for neg in negs:
+        np.testing.assert_array_equal(np.sort(neg, axis=0), np.sort(anchor, axis=0))
+    for a, b in zip(negs, negatives()[1]):
         np.testing.assert_array_equal(a, b)
 
 
@@ -235,22 +247,6 @@ def test_neighbor_mean_backward_is_the_exact_adjoint():
     lhs = float((neighbor_mean(anchor, idx) * g_out).sum())
     rhs = float((anchor * neighbor_mean_backward(g_out, idx, 7)).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_sample_neighbor_positive_shape_check():
-    g = build_graph([(0, 1)], np.eye(3))
-    with pytest.raises(InputError, match="anchor rows"):
-        sample_neighbor_positive(np.zeros((2, 4)), g, 2, stream_rng(0, "neighbor"))
-    out = sample_neighbor_positive(np.eye(3), g, 2, stream_rng(0, "neighbor"))
-    assert out.shape == (3, 3)
-
-
-def test_row_distance_euclidean():
-    a = np.array([[0.0, 0.0], [1.0, 1.0]])
-    b = np.array([[3.0, 4.0], [1.0, 1.0]])
-    np.testing.assert_allclose(row_distance(a, b), [5.0, 0.0], atol=1e-15)
-    with pytest.raises(InputError):
-        row_distance(a, np.zeros((3, 2)))
 
 
 def test_l2_normalize_rows_and_backward():

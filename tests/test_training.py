@@ -1,5 +1,7 @@
 """Training loop behavior, target-network isolation, and checkpoints."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from sngcl.errors import (
     InputError,
     TrainingDivergedError,
 )
+from sngcl.graph import Graph
 from sngcl.losses import LossConfig, total_loss
-from sngcl.nn import init_mlp, mlp_forward
+from sngcl.nn import init_adam, init_mlp, mlp_forward
 from sngcl.rng import stream_rng
 from sngcl.training import (
     EpochPlan,
@@ -96,6 +99,32 @@ def test_view_both_routes_local_to_online_and_global_to_target(sbm_tiny):
     online_in, target_in = resolve_view_inputs(sbm_tiny, 2, VIEW_BOTH)
     np.testing.assert_array_equal(online_in, training.smooth_features(sbm_tiny, 2, "symmetric"))
     np.testing.assert_array_equal(target_in, training.smooth_features(sbm_tiny, 2, "random-walk"))
+    assert training.VIEW_FILTERS == {
+        VIEW_BOTH: ("symmetric", "random-walk"),
+        VIEW_GLOBAL_ONLY: ("random-walk", "random-walk"),
+        VIEW_LOCAL_ONLY: ("symmetric", "symmetric"),
+    }
+
+
+@pytest.mark.parametrize("view_mode", [VIEW_BOTH, VIEW_GLOBAL_ONLY, VIEW_LOCAL_ONLY])
+def test_encode_smooths_only_the_filters_its_output_reads(sbm_tiny, monkeypatch, view_mode):
+    model = train(sbm_tiny, small_config(epochs=1, view_mode=view_mode))
+    want_online = encode(model, sbm_tiny)
+    want_both = encode(model, sbm_tiny, output="concat-both")
+    calls = []
+    real = training.smooth_features
+
+    def counting(graph, t, mode):
+        calls.append(mode)
+        return real(graph, t, mode)
+
+    monkeypatch.setattr(training, "smooth_features", counting)
+    online_filter, target_filter = training.VIEW_FILTERS[view_mode]
+    assert encode(model, sbm_tiny).tobytes() == want_online.tobytes()
+    assert calls == [online_filter]
+    calls.clear()
+    assert encode(model, sbm_tiny, output="concat-both").tobytes() == want_both.tobytes()
+    assert calls == list(dict.fromkeys([online_filter, target_filter]))
 
 
 def test_target_follows_the_exact_ema_recursion(sbm_tiny):
@@ -221,6 +250,18 @@ def test_non_finite_loss_aborts_with_the_epoch_number(sbm_tiny, monkeypatch):
         train(sbm_tiny, small_config(epochs=10))
 
 
+def test_non_finite_anchor_aborts_at_the_first_epoch(sbm_tiny):
+    # A Graph built directly skips build_graph's feature check.
+    features = sbm_tiny.features.copy()
+    features[3, 0] = np.nan
+    graph = Graph(
+        adjacency=sbm_tiny.adjacency, features=features,
+        labels=sbm_tiny.labels, n_classes=sbm_tiny.n_classes,
+    )
+    with pytest.raises(TrainingDivergedError, match="non-finite anchor at epoch 1"):
+        train(graph, small_config(epochs=3))
+
+
 def test_encode_shapes_and_input_checks(sbm_tiny):
     model = train(sbm_tiny, small_config(epochs=2))
     emb = encode(model, sbm_tiny)
@@ -254,6 +295,44 @@ def test_encoder_output_matches_manual_forward(sbm_tiny):
 
 
 # --- checkpoints ------------------------------------------------------------
+
+# The metadata block of a format-1 checkpoint for TrainConfig().resolved(16),
+# as the writer produced it before the hyperparameter table existed.  Key
+# order, float reprs and 0/1 booleans are part of the format.
+V1_DEFAULT_METADATA = (
+    "t=3\nepochs=500\nlr=0.001\nmomentum=0.8\nseed=0\nview_mode=both\n"
+    "normalize_embeddings=0\nanchor_mode=predictor\nencoder_dims=16,512,256\n"
+    "predictor_dims=256,512,256\nalpha=1.0\nbeta=1.0\nk=5\nn_neighbors=5\n"
+    "omega1=1.0\nomega2=1.0\nadam_beta1=0.9\nadam_beta2=0.999\nadam_eps=1e-08\n"
+)
+
+
+def test_checkpoint_metadata_keeps_the_version_1_text():
+    config = TrainConfig().resolved(16)
+    text = training._config_to_lines(config, init_adam([]))
+    assert text == V1_DEFAULT_METADATA
+    parsed, adam = training._config_from_lines(V1_DEFAULT_METADATA)
+    assert parsed == config
+    assert adam == {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
+def test_hyperparameter_table_covers_both_configs_once():
+    names = [h.name for h in training.HYPERPARAMETERS]
+    assert len(names) == len(set(names)) == 16
+    assert set(names) == (
+        {f.name for f in fields(TrainConfig)} - {"loss"} | {f.name for f in fields(LossConfig)}
+    )
+    assert all(h.help for h in training.HYPERPARAMETERS)
+    for h in training.HYPERPARAMETERS:
+        if h.default is not None:
+            assert h.parse(h.format(h.default)) == h.default
+
+
+def test_checkpoint_metadata_errors_are_corruption():
+    with pytest.raises(CheckpointCorruptionError, match="missing key 'adam_eps'"):
+        training._config_from_lines(V1_DEFAULT_METADATA.replace("adam_eps=1e-08\n", ""))
+    with pytest.raises(CheckpointCorruptionError, match="malformed"):
+        training._config_from_lines(V1_DEFAULT_METADATA.replace("k=5", "k=five"))
 
 
 def test_checkpoint_roundtrip_preserves_everything(tmp_path, sbm_tiny):
