@@ -14,8 +14,9 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -67,9 +68,26 @@ def read_config_file(path) -> dict[str, str]:
     return kv
 
 
-def _flag_given(argv, dest: str) -> bool:
-    flag = "--" + dest.replace("_", "-")
-    return any(a == flag or a.startswith(flag + "=") for a in argv)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _flags_given(argv) -> set[str]:
+    """Names of the table rows set on the command line.
+
+    argparse takes a flag in full or as any unambiguous prefix, and the parse
+    has already rejected the ambiguous ones, so a token names the flag it
+    equals, or else the one flag it is a prefix of.
+    """
+    flags = {_flag(h.name): h.name for h in HYPERPARAMETERS}
+    given = set()
+    for token in argv:
+        opt = token.partition("=")[0]
+        if opt in flags:
+            given.add(flags[opt])
+        elif opt.startswith("--") and len(opt) > 2:
+            given.update(name for flag, name in flags.items() if flag.startswith(opt))
+    return given
 
 
 def _apply_config_file(args, argv) -> None:
@@ -77,10 +95,11 @@ def _apply_config_file(args, argv) -> None:
     if args.config is None:
         return
     table = {h.name: h for h in HYPERPARAMETERS}
+    given = _flags_given(argv)
     for key, raw in read_config_file(args.config).items():
         if key not in table:
             raise ParseError(f"{args.config}: unknown config key {key!r}")
-        if _flag_given(argv, key):
+        if key in given:
             continue
         try:
             setattr(args, key, table[key].parse(raw))
@@ -121,17 +140,7 @@ def _emit(record: RunRecord, path) -> None:
 
 
 def cmd_gen_sbm(args, argv) -> int:
-    config = SbmConfig(
-        nodes_per_block=args.nodes_per_block,
-        n_blocks=args.blocks,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        feature_dim=args.feature_dim,
-        feature_shift=args.feature_shift,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
-    graph = generate_sbm(config)
+    graph = generate_sbm(config_from_values(vars(args), SbmConfig))
     save_canonical(graph, args.out)
     print(
         f"wrote {graph.n_nodes} nodes / {graph.adjacency.nnz // 2} edges "
@@ -314,7 +323,7 @@ def _hyper_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("model hyperparameters")
     for h in HYPERPARAMETERS:
-        flag = "--" + h.name.replace("_", "-")
+        flag = _flag(h.name)
         if h.kind is bool:
             g.add_argument(flag, action="store_true", default=h.default, help=h.help)
         else:
@@ -355,14 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
         "gen-sbm", formatter_class=fmt,
         help="sample a block-model graph and write it in canonical form",
     )
-    p.add_argument("--nodes-per-block", type=int, default=100)
-    p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--p-in", type=float, default=0.1, help="within-block edge probability")
-    p.add_argument("--p-out", type=float, default=0.01, help="between-block edge probability")
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--feature-shift", type=float, default=1.0, help="block mean offset")
-    p.add_argument("--noise-std", type=float, default=1.0, help="feature noise scale")
-    p.add_argument("--seed", type=int, default=0)
+    hints = get_type_hints(SbmConfig)
+    for f in fields(SbmConfig):
+        name = f.metadata.get("flag", f.name)
+        p.add_argument(
+            _flag(name), dest=f.name, type=hints[f.name], default=f.default,
+            metavar=name.upper(), help=f.metadata["help"],
+        )
     p.add_argument("--out", required=True, metavar="DIR", help="output dataset directory")
     p.set_defaults(func=cmd_gen_sbm)
 

@@ -4,7 +4,7 @@ a stochastic block model generator, and embedding export."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -271,14 +271,14 @@ class SbmConfig:
     """Stochastic block model with one mean-shifted Gaussian feature cloud
     per block (block b's mean is ``feature_shift`` along axis b)."""
 
-    nodes_per_block: int
-    n_blocks: int
-    p_in: float
-    p_out: float
-    feature_dim: int = 16
-    feature_shift: float = 1.0
-    noise_std: float = 1.0
-    seed: int = 0
+    nodes_per_block: int = field(default=100, metadata={"help": "nodes in each block"})
+    n_blocks: int = field(default=2, metadata={"help": "number of blocks", "flag": "blocks"})
+    p_in: float = field(default=0.1, metadata={"help": "within-block edge probability"})
+    p_out: float = field(default=0.01, metadata={"help": "between-block edge probability"})
+    feature_dim: int = field(default=16, metadata={"help": "feature width"})
+    feature_shift: float = field(default=1.0, metadata={"help": "block mean offset"})
+    noise_std: float = field(default=1.0, metadata={"help": "feature noise scale"})
+    seed: int = field(default=0, metadata={"help": "seed for the edges and the features"})
 
     def __post_init__(self):
         if self.nodes_per_block < 1 or self.n_blocks < 1:

@@ -306,19 +306,14 @@ def run_ablation(
     for mode in view_modes:
         accs_val, accs_test = [], []
         for seed in train_seeds:
-            config = replace(base_config, seed=seed, view_mode=mode)
-            model = train(graph, config)
+            model = train(graph, replace(base_config, seed=seed, view_mode=mode))
             emb = encode(model, graph, embed_output)
-            split = make_split(graph.labels, graph.n_classes, spec, stream_rng(seed, "split"))
-            probe = train_probe(
-                emb[split.train_idx], graph.labels[split.train_idx],
-                graph.n_classes, probe_config,
-            )
-            acc_val = accuracy(probe.predict(emb[split.val_idx]), graph.labels[split.val_idx])
-            acc_test = accuracy(probe.predict(emb[split.test_idx]), graph.labels[split.test_idx])
-            rows.append(AblationRow(view_mode=mode, seed=seed, acc_val=acc_val, acc_test=acc_test))
-            accs_val.append(acc_val)
-            accs_test.append(acc_test)
+            (row,) = evaluate_embeddings(
+                emb, graph.labels, graph.n_classes, spec, [seed], probe_config
+            ).rows
+            rows.append(AblationRow(mode, seed, row.acc_val, row.acc_test))
+            accs_val.append(row.acc_val)
+            accs_test.append(row.acc_test)
         tests = np.array(accs_test)
         summaries.append(
             AblationSummary(

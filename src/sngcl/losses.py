@@ -1,10 +1,17 @@
-"""Positive/negative construction and the triplet + upper-bound objectives.
+"""The SNGCL objective and the positives and negatives it compares.
 
-Distances are Euclidean; the losses work with their squares.  Each loss
-returns exact (sub)gradients w.r.t. the anchor and positive matrices; the
-negatives are treated as constants even though their rows alias anchor rows,
-so no gradient is ever routed through a permutation.  At an exactly-zero
-hinge bracket the subgradient 0 is chosen.
+L = omega1 * L_S + omega2 * L_N + L_U is one improved triplet loss, and its
+three hinge terms share the anchor's squared Euclidean distances to the
+structural positive, to the neighbor positive and to each negative.
+``total_loss`` computes each of those once, in one pass over the negatives,
+derives the three hinge masks from them, and forms the input gradients from
+per-row coefficients.  The negatives are treated as constants even though
+their rows alias anchor rows, so no gradient is ever routed through a
+permutation.  At an exactly-zero hinge bracket the subgradient 0 is chosen.
+
+The neighbor positive is linear in the anchor: ``S @ anchor`` for the sparse
+row-stochastic sampling operator S of :func:`neighbor_operator`, whose
+transpose carries the gradient back.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError
 from .graph import Graph
@@ -90,91 +98,17 @@ def sample_neighbor_indices(
     return out
 
 
-def neighbor_mean(anchor: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row i = mean of the sampled anchor rows ``idx[i]``."""
-    return anchor[idx].mean(axis=1)
+def neighbor_operator(idx: np.ndarray) -> sp.csr_matrix:
+    """Sparse row-stochastic S with ``S @ anchor`` = mean of the rows ``idx[i]``.
 
-
-def neighbor_mean_backward(
-    d_positive: np.ndarray, idx: np.ndarray, n_rows: int
-) -> np.ndarray:
-    """Scatter the neighbor-positive gradient back onto the sampled anchor rows."""
-    m = idx.shape[1]
-    d_anchor = np.zeros((n_rows, d_positive.shape[1]))
-    share = d_positive / m
-    for j in range(m):
-        np.add.at(d_anchor, idx[:, j], share)
-    return d_anchor
-
-
-def _squared_row_distances(anchor, positive, negatives):
-    diff_p = anchor - positive
-    sq_p = np.einsum("ij,ij->i", diff_p, diff_p)
-    diffs_n = [anchor - neg for neg in negatives]
-    sqs_n = [np.einsum("ij,ij->i", d, d) for d in diffs_n]
-    return diff_p, sq_p, diffs_n, sqs_n
-
-
-def triplet_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negatives: list[np.ndarray],
-    alpha: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Hinged triplet loss, averaged over nodes and negatives.
-
-    loss = mean_i (1/k) sum_j max(d(h_i, h_i+)^2 - d(h_i, h_ij-)^2 + alpha, 0)
+    Row i holds 1/m at each of its m sampled columns, so a node sampled twice
+    weighs 2/m; ``S.T`` carries the neighbor positive's gradient back onto
+    the anchor rows.
     """
-    if not negatives:
-        raise InputError("need at least one negative")
-    if anchor.shape != positive.shape:
-        raise InputError(f"shape mismatch {anchor.shape} vs {positive.shape}")
-    n, k = anchor.shape[0], len(negatives)
-    diff_p, sq_p, diffs_n, sqs_n = _squared_row_distances(anchor, positive, negatives)
-    loss = 0.0
-    d_anchor = np.zeros_like(anchor)
-    d_positive = np.zeros_like(positive)
-    for diff_n, sq_n in zip(diffs_n, sqs_n):
-        bracket = sq_p - sq_n + alpha
-        act = bracket > 0.0
-        loss += bracket[act].sum()
-        d_anchor[act] += diff_p[act] - diff_n[act]
-        d_positive[act] -= diff_p[act]
-    scale = 1.0 / (n * k)
-    return loss * scale, d_anchor * (2.0 * scale), d_positive * (2.0 * scale)
-
-
-def upper_bound_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negatives: list[np.ndarray],
-    alpha: float,
-    beta: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Penalty for negatives pushed beyond d(h, h+)^2 + alpha + beta.
-
-    loss = mean_i -(1/k) sum_j min(d(h_i, h_i+)^2 - d(h_i, h_ij-)^2 + alpha + beta, 0)
-
-    Always >= 0; keeps within-class spread bounded instead of letting the
-    triplet term expand distances indefinitely.
-    """
-    if not negatives:
-        raise InputError("need at least one negative")
-    if anchor.shape != positive.shape:
-        raise InputError(f"shape mismatch {anchor.shape} vs {positive.shape}")
-    n, k = anchor.shape[0], len(negatives)
-    diff_p, sq_p, diffs_n, sqs_n = _squared_row_distances(anchor, positive, negatives)
-    loss = 0.0
-    d_anchor = np.zeros_like(anchor)
-    d_positive = np.zeros_like(positive)
-    for diff_n, sq_n in zip(diffs_n, sqs_n):
-        bracket = sq_p - sq_n + alpha + beta
-        act = bracket < 0.0
-        loss -= bracket[act].sum()
-        d_anchor[act] -= diff_p[act] - diff_n[act]
-        d_positive[act] += diff_p[act]
-    scale = 1.0 / (n * k)
-    return loss * scale, d_anchor * (2.0 * scale), d_positive * (2.0 * scale)
+    n, m = idx.shape
+    return sp.csr_matrix(
+        (np.full(n * m, 1.0 / m), idx.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n)
+    )
 
 
 @dataclass
@@ -190,36 +124,68 @@ class LossOutput:
     grad_positive_neighbor: np.ndarray
 
 
-def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
-    """L = omega1 * L_S + omega2 * L_N + L_U.
+def _row_sq(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
 
-    L_S and L_U use the structural positive from the target network, L_N the
-    neighbor-sampled positive; the upper-bound weight is fixed at 1.
+
+def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
+    """L = omega1 * L_S + omega2 * L_N + L_U, in one pass over the negatives.
+
+    With d+ the squared distance from h_i to its structural (S) or neighbor
+    (N) positive and d-_j the one to its j-th negative:
+
+    L_S, L_N = mean_i (1/k) sum_j max(d+ - d-_j + alpha, 0)
+    L_U = mean_i -(1/k) sum_j min(d+_S - d-_j + alpha + beta, 0)
+
+    L_U is always >= 0 and keeps within-class spread bounded instead of
+    letting the triplet terms expand distances indefinitely; its weight is
+    fixed at 1.
     """
     batch.validate()
-    l_s, ga_s, gp_s = triplet_loss(
-        batch.anchor, batch.positive_struct, batch.negatives, cfg.alpha
-    )
-    l_n, ga_n, gp_n = triplet_loss(
-        batch.anchor, batch.positive_neighbor, batch.negatives, cfg.alpha
-    )
-    l_u, ga_u, gp_u = upper_bound_loss(
-        batch.anchor, batch.positive_struct, batch.negatives, cfg.alpha, cfg.beta
-    )
+    anchor = batch.anchor
+    n, k = anchor.shape[0], len(batch.negatives)
+    diff_s = anchor - batch.positive_struct
+    diff_n = anchor - batch.positive_neighbor
+    sq_s, sq_n = _row_sq(diff_s), _row_sq(diff_n)
+    l_s = l_n = l_u = 0.0
+    # Each active hinge adds +-(diff to its positive - diff to the negative)
+    # to the anchor gradient; coef_* hold each row's signed weight of the
+    # positive differences, neg_term the weighted negative differences.
+    coef_s, coef_n = np.zeros(n), np.zeros(n)
+    neg_term = np.zeros_like(anchor)
+    for neg in batch.negatives:
+        diff = anchor - neg
+        sq = _row_sq(diff)
+        b_s = sq_s - sq + cfg.alpha
+        b_n = sq_n - sq + cfg.alpha
+        b_u = b_s + cfg.beta
+        act_s, act_n, act_u = b_s > 0.0, b_n > 0.0, b_u < 0.0
+        l_s += b_s[act_s].sum()
+        l_n += b_n[act_n].sum()
+        l_u -= b_u[act_u].sum()
+        w_s = cfg.omega1 * act_s - act_u
+        w_n = cfg.omega2 * act_n
+        coef_s += w_s
+        coef_n += w_n
+        neg_term += (w_s + w_n)[:, None] * diff
+    scale = 1.0 / (n * k)
+    l_s, l_n, l_u = l_s * scale, l_n * scale, l_u * scale
+    g_s = (2.0 * scale) * coef_s[:, None] * diff_s
+    g_n = (2.0 * scale) * coef_n[:, None] * diff_n
     return LossOutput(
         total=cfg.omega1 * l_s + cfg.omega2 * l_n + l_u,
         l_struct=l_s,
         l_neighbor=l_n,
         l_upper=l_u,
-        grad_anchor=cfg.omega1 * ga_s + cfg.omega2 * ga_n + ga_u,
-        grad_positive_struct=cfg.omega1 * gp_s + gp_u,
-        grad_positive_neighbor=cfg.omega2 * gp_n,
+        grad_anchor=g_s + g_n - (2.0 * scale) * neg_term,
+        grad_positive_struct=-g_s,
+        grad_positive_neighbor=-g_n,
     )
 
 
 def l2_normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize to unit length; returns (normalized, clamped norms)."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    norms = np.sqrt(_row_sq(x))
     norms = np.maximum(norms, 1e-12)
     return x / norms[:, None], norms
 

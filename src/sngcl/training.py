@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -29,8 +30,7 @@ from .losses import (
     LossOutput,
     l2_normalize_backward,
     l2_normalize_rows,
-    neighbor_mean,
-    neighbor_mean_backward,
+    neighbor_operator,
     sample_neighbor_indices,
     total_loss,
 )
@@ -227,8 +227,8 @@ def config_values(config) -> dict[str, object]:
 
 
 def config_from_values(values, cls=TrainConfig):
-    """Build a config from a flat name -> value map; absent names keep their
-    defaults and names outside the table are ignored."""
+    """Build a config dataclass from a flat name -> value map; absent fields
+    keep their defaults and names that are no field are ignored."""
     hints = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
@@ -279,6 +279,11 @@ class EpochPlan:
     neighbor_idx: np.ndarray
     permutations: list[np.ndarray]
 
+    @cached_property
+    def neighbor_op(self):
+        """The sampling operator S: the neighbor positive is ``S @ anchor``."""
+        return neighbor_operator(self.neighbor_idx)
+
 
 @dataclass
 class _EpochForward:
@@ -327,7 +332,7 @@ def _epoch_forward(
     batch = EmbeddingBatch(
         anchor=anchor,
         positive_struct=positive_struct,
-        positive_neighbor=neighbor_mean(anchor, plan.neighbor_idx),
+        positive_neighbor=plan.neighbor_op @ anchor,
         negatives=negatives,
     )
     return _EpochForward(
@@ -349,14 +354,11 @@ def _epoch_backward(
 ) -> tuple[Mlp, Mlp]:
     """Gradients for the online encoder and predictor.
 
-    The neighbor positive is a (sampled) linear function of the anchor, so
-    its gradient is scattered back onto the anchor rows; the structural
-    positive belongs to the frozen target and receives nothing.
+    The neighbor positive is ``S @ anchor``, so its gradient reaches the
+    anchor as ``S.T @ grad``; the structural positive belongs to the frozen
+    target and receives nothing.
     """
-    n = fwd.anchor.shape[0]
-    d_anchor = out.grad_anchor + neighbor_mean_backward(
-        out.grad_positive_neighbor, plan.neighbor_idx, n
-    )
+    d_anchor = out.grad_anchor + plan.neighbor_op.T @ out.grad_positive_neighbor
     if config.normalize_embeddings:
         d_anchor = l2_normalize_backward(fwd.anchor, fwd.anchor_norms, d_anchor)
     if config.anchor_mode == ANCHOR_PREDICTOR:

@@ -35,6 +35,26 @@ def test_gen_sbm_writes_a_loadable_dataset(sbm_dir, capsys):
     assert g.n_nodes == 40 and g.n_classes == 2
 
 
+def test_gen_sbm_defaults_are_the_sbm_config_defaults(tmp_path, capsys):
+    from dataclasses import fields
+
+    from sngcl.data import SbmConfig, generate_sbm, load_canonical
+
+    assert run_command(["gen-sbm", "--out", str(tmp_path / "d")]) == 0
+    got, want = load_canonical(tmp_path / "d"), generate_sbm(SbmConfig())
+    assert (got.adjacency != want.adjacency).nnz == 0
+    np.testing.assert_array_equal(got.features, want.features)
+    np.testing.assert_array_equal(got.labels, want.labels)
+
+    capsys.readouterr()
+    assert run_command(["gen-sbm", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for f in fields(SbmConfig):
+        flag = "--" + f.metadata.get("flag", f.name).replace("_", "-")
+        assert f"{flag} " in out
+        assert f"{f.metadata['help']} (default: {f.default})" in out
+
+
 def test_full_pipeline_train_eval_embed(sbm_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_command([
@@ -213,6 +233,18 @@ def test_config_file_supplies_defaults_but_flags_win(sbm_dir, tmp_path):
     ]) == 0
     hist2 = tmp_path / "m2" / "history.tsv"
     assert len(hist2.read_text().splitlines()) == 1 + 2  # flag beats the file
+
+
+@pytest.mark.parametrize("flag", [["--epoch", "2"], ["--epoch=2"], ["--ep", "2"]])
+def test_abbreviated_flag_beats_the_config_file(flag, sbm_dir, tmp_path):
+    # argparse accepts an unambiguous prefix of a flag; it counts as given.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs=4\nencoder_dims=16,8,4\npredictor_dims=4,6,4\n")
+    assert run_command([
+        "train", "--data", str(sbm_dir), "--config", str(cfg), *flag,
+        "--out", str(tmp_path / "m"),
+    ]) == 0
+    assert len((tmp_path / "m" / "history.tsv").read_text().splitlines()) == 1 + 2
 
 
 def test_config_file_errors(tmp_path, sbm_dir):

@@ -249,6 +249,26 @@ def test_run_ablation_covers_all_modes_and_seeds(sbm_tiny):
         report.mean_test("sideways")
 
 
+def test_run_ablation_rows_are_evaluate_embeddings_of_each_trained_model(sbm_tiny):
+    from dataclasses import replace
+
+    from sngcl.training import encode, train
+
+    config = TrainConfig(epochs=3, encoder_dims=[16, 8, 4], predictor_dims=[4, 6, 4])
+    spec, probe = SplitSpec(5, val_total=10), ProbeConfig(epochs=40)
+    report = run_ablation(
+        sbm_tiny, config, train_seeds=[0, 1], spec=spec,
+        view_modes=["local-only"], probe_config=probe,
+    )
+    row = report.rows[1]
+    assert (row.view_mode, row.seed) == ("local-only", 1)
+    model = train(sbm_tiny, replace(config, seed=1, view_mode="local-only"))
+    (want,) = evaluate_embeddings(
+        encode(model, sbm_tiny), sbm_tiny.labels, sbm_tiny.n_classes, spec, [1], probe
+    ).rows
+    assert (row.acc_val, row.acc_test) == (want.acc_val, want.acc_test)
+
+
 def test_run_ablation_requires_labels_and_seeds(sbm_tiny):
     config = TrainConfig(epochs=1, encoder_dims=[16, 4, 2], predictor_dims=[2, 2])
     with pytest.raises(InputError, match="seed"):

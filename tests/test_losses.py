@@ -11,12 +11,9 @@ from sngcl.losses import (
     LossConfig,
     l2_normalize_backward,
     l2_normalize_rows,
-    neighbor_mean,
-    neighbor_mean_backward,
+    neighbor_operator,
     sample_neighbor_indices,
     total_loss,
-    triplet_loss,
-    upper_bound_loss,
 )
 from sngcl.rng import stream_rng
 
@@ -52,14 +49,32 @@ def random_terms(seed, n=6, d=4, k=3):
     return anchor, positive, negatives
 
 
+def loss_of(anchor, pos_s, negatives, alpha, beta=1.0, omega1=1.0, omega2=1.0, pos_n=None):
+    """``total_loss`` on one batch; the neighbor positive defaults to a copy
+    of the structural one, so L_N equals L_S."""
+    batch = EmbeddingBatch(
+        anchor=anchor,
+        positive_struct=pos_s,
+        positive_neighbor=pos_s.copy() if pos_n is None else pos_n,
+        negatives=negatives,
+    )
+    cfg = LossConfig(alpha=alpha, beta=beta, k=len(negatives), omega1=omega1, omega2=omega2)
+    return total_loss(batch, cfg)
+
+
+# beta so large that no L_U hinge is active on the instances below
+NO_UPPER = 1e3
+
+
 def test_triplet_loss_single_node_hand_example():
     # d+^2 = 1; against negative at 2 the bracket is 1 - 4 + 1 = -2 -> 0,
     # against negative at 0.5 it is 1 - 0.25 + 1 = 1.75.  Mean over k=2: 0.875.
     anchor = np.array([[0.0]])
     positive = np.array([[1.0]])
     negatives = [np.array([[2.0]]), np.array([[0.5]])]
-    loss, _, _ = triplet_loss(anchor, positive, negatives, alpha=1.0)
-    assert loss == pytest.approx(0.875, abs=1e-12)
+    out = loss_of(anchor, positive, negatives, alpha=1.0)
+    assert out.l_struct == pytest.approx(0.875, abs=1e-12)
+    assert out.l_neighbor == pytest.approx(0.875, abs=1e-12)
 
 
 def test_upper_bound_loss_single_node_hand_example():
@@ -68,97 +83,130 @@ def test_upper_bound_loss_single_node_hand_example():
     anchor = np.array([[0.0]])
     positive = np.array([[1.0]])
     negatives = [np.array([[3.0]]), np.array([[1.0]])]
-    loss, _, _ = upper_bound_loss(anchor, positive, negatives, alpha=1.0, beta=1.0)
-    assert loss == pytest.approx(3.0, abs=1e-12)
+    out = loss_of(anchor, positive, negatives, alpha=1.0, beta=1.0)
+    assert out.l_upper == pytest.approx(3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_triplet_loss_matches_scalar_reference(seed):
-    anchor, positive, negatives = random_terms(seed)
-    loss, _, _ = triplet_loss(anchor, positive, negatives, alpha=0.7)
-    assert loss == pytest.approx(scalar_triplet(anchor, positive, negatives, 0.7), abs=1e-12)
+    anchor, pos_s, negatives = random_terms(seed)
+    pos_n = np.random.default_rng(100 + seed).standard_normal(anchor.shape)
+    out = loss_of(anchor, pos_s, negatives, alpha=0.7, pos_n=pos_n)
+    assert out.l_struct == pytest.approx(scalar_triplet(anchor, pos_s, negatives, 0.7), abs=1e-12)
+    assert out.l_neighbor == pytest.approx(
+        scalar_triplet(anchor, pos_n, negatives, 0.7), abs=1e-12
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_upper_bound_loss_matches_scalar_reference(seed):
     anchor, positive, negatives = random_terms(seed)
-    loss, _, _ = upper_bound_loss(anchor, positive, negatives, alpha=0.7, beta=0.4)
-    assert loss == pytest.approx(
+    out = loss_of(anchor, positive, negatives, alpha=0.7, beta=0.4)
+    assert out.l_upper == pytest.approx(
         scalar_upper_bound(anchor, positive, negatives, 0.7, 0.4), abs=1e-12
     )
 
 
 def test_triplet_gradients_match_finite_differences():
+    # With one omega at 0 and no L_U hinge active, the gradients are those of
+    # the other triplet term alone.
     anchor, positive, negatives = random_terms(11)
+    other = np.random.default_rng(111).standard_normal(anchor.shape)
+    for omega1, omega2, term in [(1.0, 0.0, "l_struct"), (0.0, 1.0, "l_neighbor")]:
+        pos_s, pos_n = (positive, other) if term == "l_struct" else (other, positive)
 
-    def f():
-        return triplet_loss(anchor, positive, negatives, alpha=0.9)[0]
+        def loss():
+            return loss_of(anchor, pos_s, negatives, 0.9, NO_UPPER, omega1, omega2, pos_n)
 
-    _, d_anchor, d_positive = triplet_loss(anchor, positive, negatives, alpha=0.9)
-    np.testing.assert_allclose(d_anchor, numeric_grad(f, anchor), rtol=1e-6, atol=1e-9)
-    np.testing.assert_allclose(d_positive, numeric_grad(f, positive), rtol=1e-6, atol=1e-9)
+        def f():
+            return getattr(loss(), term)
+
+        out = loss()
+        assert out.l_upper == 0.0
+        d_positive = out.grad_positive_struct if term == "l_struct" else out.grad_positive_neighbor
+        np.testing.assert_allclose(out.grad_anchor, numeric_grad(f, anchor), rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(d_positive, numeric_grad(f, positive), rtol=1e-6, atol=1e-9)
 
 
 def test_upper_bound_gradients_match_finite_differences():
     anchor, positive, negatives = random_terms(12)
 
     def f():
-        return upper_bound_loss(anchor, positive, negatives, alpha=0.3, beta=0.2)[0]
+        return loss_of(anchor, positive, negatives, 0.3, 0.2, omega1=0.0, omega2=0.0).l_upper
 
-    _, d_anchor, d_positive = upper_bound_loss(anchor, positive, negatives, 0.3, 0.2)
-    np.testing.assert_allclose(d_anchor, numeric_grad(f, anchor), rtol=1e-6, atol=1e-9)
-    np.testing.assert_allclose(d_positive, numeric_grad(f, positive), rtol=1e-6, atol=1e-9)
+    out = loss_of(anchor, positive, negatives, 0.3, 0.2, omega1=0.0, omega2=0.0)
+    np.testing.assert_allclose(out.grad_anchor, numeric_grad(f, anchor), rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(
+        out.grad_positive_struct, numeric_grad(f, positive), rtol=1e-6, atol=1e-9
+    )
+
+
+def test_total_loss_gradients_match_finite_differences():
+    # The weighted combination of the three terms' gradients, at random weights.
+    rng = np.random.default_rng(31)
+    anchor, pos_s, negatives = random_terms(13, k=4)
+    pos_n = rng.standard_normal(anchor.shape)
+    alpha, beta, omega1, omega2 = rng.uniform(0.1, 2.0, size=4)
+
+    def f():
+        return loss_of(anchor, pos_s, negatives, alpha, beta, omega1, omega2, pos_n).total
+
+    out = loss_of(anchor, pos_s, negatives, alpha, beta, omega1, omega2, pos_n)
+    assert min(out.l_struct, out.l_neighbor, out.l_upper) > 0.0  # every term is live
+    for got, x in [
+        (out.grad_anchor, anchor),
+        (out.grad_positive_struct, pos_s),
+        (out.grad_positive_neighbor, pos_n),
+    ]:
+        np.testing.assert_allclose(got, numeric_grad(f, x), rtol=1e-6, atol=1e-9)
 
 
 def test_inactive_hinges_give_zero_loss_and_gradient():
     # Positive on top of the anchor and negatives at squared distance 1.28:
-    # inside (alpha, alpha + beta), so neither hinge is active.
+    # inside (alpha, alpha + beta), so no hinge is active.
     anchor = np.zeros((3, 2))
     positive = np.zeros((3, 2))
     negatives = [np.full((3, 2), 0.8)]
-    loss, d_anchor, d_positive = triplet_loss(anchor, positive, negatives, alpha=1.0)
-    assert loss == 0.0
-    assert np.all(d_anchor == 0.0) and np.all(d_positive == 0.0)
-    loss_u, da_u, dp_u = upper_bound_loss(anchor, positive, negatives, 1.0, 1.0)
-    assert loss_u == 0.0
-    assert np.all(da_u == 0.0) and np.all(dp_u == 0.0)
+    cases = [(anchor, positive, negatives, 1.0, 1.0)]
+    # d+^2 = 1 and d-^2 = 2: the triplet brackets are exactly 0 at alpha = 1,
+    # and the upper-bound one at alpha = beta = 0.5; the subgradient there is 0.
+    one = (np.zeros((1, 2)), np.array([[1.0, 0.0]]), [np.array([[1.0, 1.0]])])
+    cases += [(*one, 1.0, 1.0), (*one, 0.5, 0.5)]
+    for case in cases:
+        out = loss_of(*case)
+        assert (out.total, out.l_struct, out.l_neighbor, out.l_upper) == (0.0, 0.0, 0.0, 0.0)
+        for grad in (out.grad_anchor, out.grad_positive_struct, out.grad_positive_neighbor):
+            assert np.all(grad == 0.0)
 
 
 def test_upper_bound_fires_only_on_overly_distant_negatives():
     anchor = np.zeros((1, 2))
     positive = np.zeros((1, 2))
     far = [np.full((1, 2), 10.0)]  # squared distance 200
-    loss, _, _ = upper_bound_loss(anchor, positive, far, 1.0, 1.0)
-    assert loss == pytest.approx(198.0, abs=1e-12)
+    out = loss_of(anchor, positive, far, 1.0, 1.0)
+    assert out.l_upper == pytest.approx(198.0, abs=1e-12)
+    assert out.l_struct == 0.0
     near = [np.full((1, 2), 0.5)]  # squared distance 0.5 < alpha + beta
-    loss, _, _ = upper_bound_loss(anchor, positive, near, 1.0, 1.0)
-    assert loss == 0.0
+    assert loss_of(anchor, positive, near, 1.0, 1.0).l_upper == 0.0
 
 
 def test_upper_bound_is_nonnegative():
     for seed in range(5):
         anchor, positive, negatives = random_terms(seed, n=8, d=3, k=4)
-        loss, _, _ = upper_bound_loss(anchor, positive, negatives, 1.0, 1.0)
-        assert loss >= 0.0
+        assert loss_of(anchor, positive, negatives, 1.0, 1.0).l_upper >= 0.0
 
 
 def test_total_loss_combines_weighted_components():
     anchor, pos_s, negatives = random_terms(21)
     pos_n = np.random.default_rng(22).standard_normal(anchor.shape)
-    batch = EmbeddingBatch(
-        anchor=anchor, positive_struct=pos_s, positive_neighbor=pos_n, negatives=negatives
-    )
-    cfg = LossConfig(alpha=0.8, beta=0.5, k=len(negatives), omega1=2.0, omega2=0.25)
-    out = total_loss(batch, cfg)
+    out = loss_of(anchor, pos_s, negatives, 0.8, 0.5, omega1=2.0, omega2=0.25, pos_n=pos_n)
 
-    l_s, ga_s, gp_s = triplet_loss(anchor, pos_s, negatives, 0.8)
-    l_n, ga_n, gp_n = triplet_loss(anchor, pos_n, negatives, 0.8)
-    l_u, ga_u, gp_u = upper_bound_loss(anchor, pos_s, negatives, 0.8, 0.5)
+    l_s = scalar_triplet(anchor, pos_s, negatives, 0.8)
+    l_n = scalar_triplet(anchor, pos_n, negatives, 0.8)
+    l_u = scalar_upper_bound(anchor, pos_s, negatives, 0.8, 0.5)
     assert out.total == pytest.approx(2.0 * l_s + 0.25 * l_n + l_u, abs=1e-12)
-    assert (out.l_struct, out.l_neighbor, out.l_upper) == (l_s, l_n, l_u)
-    np.testing.assert_allclose(out.grad_anchor, 2.0 * ga_s + 0.25 * ga_n + ga_u, atol=1e-12)
-    np.testing.assert_allclose(out.grad_positive_struct, 2.0 * gp_s + gp_u, atol=1e-12)
-    np.testing.assert_allclose(out.grad_positive_neighbor, 0.25 * gp_n, atol=1e-12)
+    for got, want in [(out.l_struct, l_s), (out.l_neighbor, l_n), (out.l_upper, l_u)]:
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_total_loss_validates_batch_shapes():
@@ -231,21 +279,38 @@ def test_sample_neighbor_indices_without_replacement_when_possible():
 
 
 def test_neighbor_mean_averages_selected_rows():
+    # S @ anchor is the mean of the sampled rows; a row sampled twice counts twice.
     anchor = np.array([[0.0, 0.0], [2.0, 4.0], [4.0, 0.0]])
     idx = np.array([[1, 2], [0, 0], [1, 1]])
-    got = neighbor_mean(anchor, idx)
+    got = neighbor_operator(idx) @ anchor
     np.testing.assert_allclose(got, [[3.0, 2.0], [0.0, 0.0], [2.0, 4.0]], atol=1e-15)
+    rng = np.random.default_rng(5)
+    anchor = rng.standard_normal((9, 4))
+    idx = rng.integers(0, 9, size=(9, 5))
+    np.testing.assert_allclose(
+        neighbor_operator(idx) @ anchor, anchor[idx].mean(axis=1), rtol=0, atol=1e-15
+    )
+
+
+def test_isolated_node_neighbor_positive_is_its_own_row():
+    g = build_graph([(0, 1), (1, 2)], np.eye(4))
+    idx = sample_neighbor_indices(g, 3, stream_rng(2, "neighbor"))
+    anchor = np.random.default_rng(6).standard_normal((4, 3))
+    got = neighbor_operator(idx) @ anchor
+    np.testing.assert_allclose(got, anchor[idx].mean(axis=1), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got[3], anchor[3], rtol=0, atol=1e-15)
 
 
 def test_neighbor_mean_backward_is_the_exact_adjoint():
-    # <mean(A), G> must equal <A, mean_backward(G)> for the scatter to be
-    # the true transpose of the gather.
+    # <S A, G> must equal <A, S.T G>: the backward is the true transpose of
+    # the forward, repeated samples included.
     rng = np.random.default_rng(9)
     anchor = rng.standard_normal((7, 3))
     idx = rng.integers(0, 7, size=(7, 4))
     g_out = rng.standard_normal((7, 3))
-    lhs = float((neighbor_mean(anchor, idx) * g_out).sum())
-    rhs = float((anchor * neighbor_mean_backward(g_out, idx, 7)).sum())
+    s = neighbor_operator(idx)
+    lhs = float(((s @ anchor) * g_out).sum())
+    rhs = float((anchor * (s.T @ g_out)).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
