@@ -183,7 +183,7 @@ def cmd_train(args, argv) -> int:
     t_save = time.perf_counter()
 
     metadata = {"command": "train", "data": args.data, "out": str(out)}
-    for line in _config_to_lines(model.config, model.model.optimizer).splitlines():
+    for line in _config_to_lines(model.config).splitlines():
         key, _, value = line.partition("=")
         metadata[key] = value
     metadata["load_s"] = f"{t_load - t0:.3f}"

@@ -296,6 +296,9 @@ class SbmConfig:
             raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
 
 
+SBM_ROWS_PER_DRAW = 1024
+
+
 def generate_sbm(config: SbmConfig) -> Graph:
     """Sample a block-model graph; block membership doubles as the label.
 
@@ -306,10 +309,17 @@ def generate_sbm(config: SbmConfig) -> Graph:
     blocks = np.repeat(np.arange(config.n_blocks), config.nodes_per_block)
     rng = np.random.default_rng(config.seed)
 
-    probs = np.where(blocks[:, None] == blocks[None, :], config.p_in, config.p_out)
-    draw = rng.random((n, n))
-    upper = np.triu(draw < probs, k=1)
-    edge_i, edge_j = np.nonzero(upper)
+    # Pair (i, j) is an edge when the (i, j) entry of an n x n uniform draw
+    # falls below its block pair's probability and j > i.  The draw is made
+    # SBM_ROWS_PER_DRAW rows at a time, in row-major order, which consumes
+    # the stream exactly as one n x n draw would.
+    edge_i, edge_j = [], []
+    for start in range(0, n, SBM_ROWS_PER_DRAW):
+        rows = blocks[start:start + SBM_ROWS_PER_DRAW]
+        probs = np.where(rows[:, None] == blocks[None, :], config.p_in, config.p_out)
+        i, j = np.nonzero(np.triu(rng.random(probs.shape) < probs, k=1 + start))
+        edge_i.append(i + start)
+        edge_j.append(j)
 
     means = np.zeros((config.n_blocks, config.feature_dim))
     means[np.arange(config.n_blocks), np.arange(config.n_blocks)] = config.feature_shift
@@ -317,7 +327,7 @@ def generate_sbm(config: SbmConfig) -> Graph:
         (n, config.feature_dim)
     )
     return build_graph(
-        list(zip(edge_i.tolist(), edge_j.tolist())),
+        np.stack([np.concatenate(edge_i), np.concatenate(edge_j)], axis=1),
         features,
         labels=blocks,
         n_classes=config.n_blocks,

@@ -120,6 +120,11 @@ def mlp_backward(
     return Mlp(weights=d_weights, biases=d_biases), dx
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moments over a flat parameter list, plus the step count."""
@@ -127,9 +132,6 @@ class AdamState:
     step: int
     m1: list[np.ndarray]
     m2: list[np.ndarray]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
@@ -151,7 +153,7 @@ def adam_step(
         raise InputError("parameter / gradient / moment list lengths disagree")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m1, m2 in zip(params, grads, state.m1, state.m2):
         if p.shape != g.shape:
             raise InputError(f"grad shape {g.shape} != param shape {p.shape}")
@@ -161,7 +163,7 @@ def adam_step(
         m2 += (1.0 - b2) * g * g
         m1_hat = m1 / (1.0 - b1**t)
         m2_hat = m2 / (1.0 - b2**t)
-        p -= lr * m1_hat / (np.sqrt(m2_hat) + state.eps)
+        p -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
 
 
 def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:
@@ -182,12 +184,15 @@ def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:
 
 @dataclass
 class ModelState:
-    """Online encoder + predictor (trained by Adam) and the EMA target encoder."""
+    """Online encoder + predictor (trained by Adam) and the EMA target encoder.
+
+    ``optimizer`` is None for a model read from a checkpoint.
+    """
 
     online_encoder: Mlp
     predictor: Mlp
     target_encoder: Mlp
-    optimizer: AdamState = field(repr=False, default=None)
+    optimizer: AdamState | None = field(repr=False, default=None)
 
     def trainable_params(self) -> list[np.ndarray]:
         return self.online_encoder.params() + self.predictor.params()

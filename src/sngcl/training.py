@@ -9,9 +9,13 @@ target.  Smoothing runs exactly once before the loop.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -35,7 +39,6 @@ from .losses import (
     total_loss,
 )
 from .nn import (
-    AdamState,
     Mlp,
     ModelState,
     adam_step,
@@ -465,6 +468,9 @@ def encode(model: TrainedModel, graph: Graph, output: str = EMBED_ONLINE_LOCAL) 
 # magic "SNGCL" + version byte, then a u64-length-prefixed UTF-8 metadata
 # block of key=value lines (the config snapshot), then tensor records until
 # EOF: u64 name length, name bytes, u64 rank, u64 dims, float64 LE values.
+# A checkpoint holds the three networks and the loss history, not the
+# optimizer.  The reader takes only the keys and records it needs, so older
+# files that also carry Adam's state (adam_* keys, optimizer/* records) load.
 
 CHECKPOINT_MAGIC = b"SNGCL"
 CHECKPOINT_VERSION = 1
@@ -472,28 +478,23 @@ _MAX_NAME = 1 << 16
 _MAX_RANK = 8
 
 
-# The optimizer's hyperparameters are the AdamState fields with a default;
-# the metadata stores them after the table, prefixed with "adam_".
-_ADAM_FIELDS = [f.name for f in fields(AdamState) if f.default is not MISSING]
-
-
-def _config_to_lines(config: TrainConfig, optimizer: AdamState) -> str:
+def _config_to_lines(config: TrainConfig) -> str:
     values = config_values(config)
-    items = [(h.name, h.format(values[h.name])) for h in HYPERPARAMETERS]
-    items += [(f"adam_{name}", repr(getattr(optimizer, name))) for name in _ADAM_FIELDS]
-    return "".join(f"{key}={value}\n" for key, value in items)
+    return "".join(f"{h.name}={h.format(values[h.name])}\n" for h in HYPERPARAMETERS)
 
 
-def _config_from_lines(text: str) -> tuple[TrainConfig, dict]:
+def _config_from_lines(text: str) -> TrainConfig:
     kv = dict(line.partition("=")[::2] for line in text.splitlines() if line)
     try:
         config = config_from_values({h.name: h.parse(kv[h.name]) for h in HYPERPARAMETERS})
-        adam_kv = {name: float(kv[f"adam_{name}"]) for name in _ADAM_FIELDS}
+        if min(len(config.encoder_dims), len(config.predictor_dims)) < 2:
+            raise ValueError("a network needs at least two layer widths")
+        config.validate(config.encoder_dims[0])
     except KeyError as exc:
         raise CheckpointCorruptionError(f"metadata missing key {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # InputError is a ValueError
         raise CheckpointCorruptionError(f"malformed metadata: {exc}") from exc
-    return config, adam_kv
+    return config
 
 
 def _tensor_items(model: TrainedModel):
@@ -506,12 +507,6 @@ def _tensor_items(model: TrainedModel):
         for l in range(mlp.n_layers):
             yield f"{prefix}/w{l}", mlp.weights[l]
             yield f"{prefix}/b{l}", mlp.biases[l]
-    opt = state.optimizer
-    for i, arr in enumerate(opt.m1):
-        yield f"optimizer/m1/{i}", arr
-    for i, arr in enumerate(opt.m2):
-        yield f"optimizer/m2/{i}", arr
-    yield "optimizer/step", np.array([float(opt.step)])
     yield "history", model.history
 
 
@@ -525,10 +520,25 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     f.write(data.tobytes())
 
 
+@contextmanager
+def _replacing(path):
+    """A binary file that takes ``path``'s place only when the block exits
+    cleanly; on an error the old file stays and the partial one is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(model: TrainedModel, path) -> None:
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]))
-        meta = _config_to_lines(model.config, model.model.optimizer).encode("utf-8")
+        meta = _config_to_lines(model.config).encode("utf-8")
         f.write(struct.pack("<Q", len(meta)))
         f.write(meta)
         for name, arr in _tensor_items(model):
@@ -544,7 +554,15 @@ def _read_exact(f, n: int) -> bytes:
     return data
 
 
+def _read_utf8(f, n: int, what: str) -> str:
+    try:
+        return _read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointCorruptionError(f"malformed {what}: {exc}") from exc
+
+
 def _read_tensors(f) -> dict[str, np.ndarray]:
+    size = os.fstat(f.fileno()).st_size
     tensors: dict[str, np.ndarray] = {}
     while True:
         head = f.read(8)
@@ -555,33 +573,47 @@ def _read_tensors(f) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack("<Q", head)
         if name_len == 0 or name_len > _MAX_NAME:
             raise CheckpointCorruptionError(f"implausible tensor name length {name_len}")
-        name = _read_exact(f, name_len).decode("utf-8")
+        name = _read_utf8(f, name_len, "tensor name")
         (rank,) = struct.unpack("<Q", _read_exact(f, 8))
         if rank > _MAX_RANK:
             raise CheckpointCorruptionError(f"implausible tensor rank {rank}")
-        dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank)) if rank else ()
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = _read_exact(f, 8 * count)
-        tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
-    return tensors
+        dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank))
+        n_bytes = 8 * math.prod(dims)
+        if n_bytes > size - f.tell():
+            raise CheckpointCorruptionError(
+                f"truncated checkpoint: tensor {name!r} of shape {dims} needs "
+                f"{n_bytes} bytes, {size - f.tell()} left"
+            )
+        values = np.frombuffer(_read_exact(f, n_bytes), dtype="<f8").astype(np.float64)
+        try:
+            tensors[name] = values.reshape(dims)
+        except ValueError as exc:
+            raise CheckpointCorruptionError(f"tensor {name!r}: {exc}") from exc
 
 
-def _take(tensors: dict, name: str) -> np.ndarray:
+def _take(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
-        return tensors[name]
+        arr = tensors[name]
     except KeyError:
         raise CheckpointCorruptionError(f"checkpoint missing tensor {name!r}") from None
+    if arr.shape != shape:
+        raise CheckpointCorruptionError(
+            f"tensor {name!r} has shape {arr.shape}, the config implies {shape}"
+        )
+    return arr
 
 
 def _mlp_from_tensors(tensors: dict, prefix: str, dims: list[int]) -> Mlp:
-    n_layers = len(dims) - 1
+    layers = range(len(dims) - 1)
     return Mlp(
-        weights=[_take(tensors, f"{prefix}/w{l}").copy() for l in range(n_layers)],
-        biases=[_take(tensors, f"{prefix}/b{l}").copy() for l in range(n_layers)],
+        weights=[_take(tensors, f"{prefix}/w{l}", (dims[l], dims[l + 1])) for l in layers],
+        biases=[_take(tensors, f"{prefix}/b{l}", (dims[l + 1],)) for l in layers],
     )
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """Read a checkpoint; its ``model.optimizer`` is None, as no optimizer
+    state is stored."""
     with open(path, "rb") as f:
         head = f.read(6)
         if len(head) < 6 or head[:5] != CHECKPOINT_MAGIC:
@@ -597,26 +629,15 @@ def load_checkpoint(path) -> TrainedModel:
         (meta_len,) = struct.unpack("<Q", _read_exact(f, 8))
         if meta_len > (1 << 24):
             raise CheckpointCorruptionError(f"implausible metadata length {meta_len}")
-        config, adam_kv = _config_from_lines(_read_exact(f, meta_len).decode("utf-8"))
+        config = _config_from_lines(_read_utf8(f, meta_len, "metadata"))
         tensors = _read_tensors(f)
 
-    online = _mlp_from_tensors(tensors, "online_encoder", config.encoder_dims)
-    predictor = _mlp_from_tensors(tensors, "predictor", config.predictor_dims)
-    target = _mlp_from_tensors(tensors, "target_encoder", config.encoder_dims)
-    n_params = len(online.params() + predictor.params())
-    optimizer = AdamState(
-        step=int(_take(tensors, "optimizer/step")[0]),
-        m1=[_take(tensors, f"optimizer/m1/{i}").copy() for i in range(n_params)],
-        m2=[_take(tensors, f"optimizer/m2/{i}").copy() for i in range(n_params)],
-        **adam_kv,
-    )
-    history = _take(tensors, "history").copy()
     state = ModelState(
-        online_encoder=online,
-        predictor=predictor,
-        target_encoder=target,
-        optimizer=optimizer,
+        online_encoder=_mlp_from_tensors(tensors, "online_encoder", config.encoder_dims),
+        predictor=_mlp_from_tensors(tensors, "predictor", config.predictor_dims),
+        target_encoder=_mlp_from_tensors(tensors, "target_encoder", config.encoder_dims),
     )
+    history = _take(tensors, "history", (config.epochs, 5))
     return TrainedModel(model=state, config=config, history=history)
 
 
@@ -630,5 +651,5 @@ def write_history(path, history: np.ndarray) -> None:
         lines.append(
             "\t".join([str(int(row[0]))] + [f"{v:.17g}" for v in row[1:]])
         )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    with _replacing(path) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))

@@ -5,7 +5,7 @@ import pytest
 
 from sngcl.cli import read_config_file, run_command
 from sngcl.errors import ParseError
-from sngcl.training import HYPERPARAMETERS, config_values, load_checkpoint
+from sngcl.training import HYPERPARAMETERS, config_values, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -209,6 +209,22 @@ def test_runtime_errors_exit_1_with_diagnostic(tmp_path, capsys):
         "embed", "--data", str(sbm), "--checkpoint", str(bogus), "--out", str(tmp_path / "e"),
     ]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_transposed_weight_exits_1(sbm_dir, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
+    model = load_checkpoint(run_dir / "model.ckpt")
+    online = model.model.online_encoder
+    online.weights[1] = online.weights[1].T.copy()  # (8, 4) stored as (4, 8)
+    save_checkpoint(model, run_dir / "model.ckpt")
+    capsys.readouterr()
+    assert run_command([
+        "eval", "--data", str(sbm_dir), "--checkpoint", str(run_dir / "model.ckpt"),
+        "--train-per-class", "5", "--val-total", "5", "--splits", "1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'online_encoder/w1' has shape (4, 8)" in err
 
 
 def test_config_file_supplies_defaults_but_flags_win(sbm_dir, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import sngcl.data as data
 from sngcl.data import (
     SbmConfig,
     export_embeddings,
@@ -188,6 +189,39 @@ def test_generate_sbm_is_deterministic_per_seed():
     assert (a.adjacency != b.adjacency).nnz == 0
     assert a.features.tobytes() == b.features.tobytes()
     assert a.features.tobytes() != c.features.tobytes()
+
+
+def dense_sbm(config: SbmConfig):
+    """The block model drawn the direct way: one n x n uniform matrix against
+    an n x n probability matrix, then the features."""
+    n = config.nodes_per_block * config.n_blocks
+    blocks = np.repeat(np.arange(config.n_blocks), config.nodes_per_block)
+    rng = np.random.default_rng(config.seed)
+    probs = np.where(blocks[:, None] == blocks[None, :], config.p_in, config.p_out)
+    edge_i, edge_j = np.nonzero(np.triu(rng.random((n, n)) < probs, k=1))
+    means = np.zeros((config.n_blocks, config.feature_dim))
+    means[np.arange(config.n_blocks), np.arange(config.n_blocks)] = config.feature_shift
+    features = means[blocks] + config.noise_std * rng.standard_normal((n, config.feature_dim))
+    return build_graph(
+        list(zip(edge_i.tolist(), edge_j.tolist())), features,
+        labels=blocks, n_classes=config.n_blocks,
+    )
+
+
+@pytest.mark.parametrize("rows_per_draw", [None, 1, 7, 64])
+@pytest.mark.parametrize("config", [
+    SbmConfig(nodes_per_block=100, n_blocks=2, p_in=0.1, p_out=0.01, seed=0),
+    SbmConfig(nodes_per_block=13, n_blocks=5, p_in=0.4, p_out=0.05, seed=3),
+    SbmConfig(nodes_per_block=1, n_blocks=3, p_in=1.0, p_out=0.5, feature_dim=3, seed=9),
+    SbmConfig(nodes_per_block=550, n_blocks=2, p_in=0.02, p_out=0.002, seed=11),
+])
+def test_generate_sbm_equals_the_dense_draw(config, rows_per_draw, monkeypatch):
+    if rows_per_draw is not None:
+        monkeypatch.setattr(data, "SBM_ROWS_PER_DRAW", rows_per_draw)
+    got, want = generate_sbm(config), dense_sbm(config)
+    assert (got.adjacency != want.adjacency).nnz == 0
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
 
 
 def test_generate_sbm_edge_counts_track_the_probabilities():

@@ -1,5 +1,9 @@
 """Training loop behavior, target-network isolation, and checkpoints."""
 
+import math
+import os
+import struct
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 import sngcl.training as training
 from sngcl.errors import (
     CheckpointCorruptionError,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
     InputError,
@@ -15,7 +20,7 @@ from sngcl.errors import (
 )
 from sngcl.graph import Graph
 from sngcl.losses import LossConfig, total_loss
-from sngcl.nn import init_adam, init_mlp, mlp_forward
+from sngcl.nn import init_mlp, mlp_forward
 from sngcl.rng import stream_rng
 from sngcl.training import (
     EpochPlan,
@@ -298,22 +303,24 @@ def test_encoder_output_matches_manual_forward(sbm_tiny):
 
 # The metadata block of a format-1 checkpoint for TrainConfig().resolved(16),
 # as the writer produced it before the hyperparameter table existed.  Key
-# order, float reprs and 0/1 booleans are part of the format.
+# order, float reprs and 0/1 booleans are part of the format.  The trailing
+# adam_* keys are no longer written, and the reader ignores them.
 V1_DEFAULT_METADATA = (
     "t=3\nepochs=500\nlr=0.001\nmomentum=0.8\nseed=0\nview_mode=both\n"
     "normalize_embeddings=0\nanchor_mode=predictor\nencoder_dims=16,512,256\n"
     "predictor_dims=256,512,256\nalpha=1.0\nbeta=1.0\nk=5\nn_neighbors=5\n"
     "omega1=1.0\nomega2=1.0\nadam_beta1=0.9\nadam_beta2=0.999\nadam_eps=1e-08\n"
 )
+ADAM_LINES = "adam_beta1=0.9\nadam_beta2=0.999\nadam_eps=1e-08\n"
 
 
 def test_checkpoint_metadata_keeps_the_version_1_text():
     config = TrainConfig().resolved(16)
-    text = training._config_to_lines(config, init_adam([]))
-    assert text == V1_DEFAULT_METADATA
-    parsed, adam = training._config_from_lines(V1_DEFAULT_METADATA)
-    assert parsed == config
-    assert adam == {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+    text = training._config_to_lines(config)
+    assert "adam_" not in text
+    assert text + ADAM_LINES == V1_DEFAULT_METADATA
+    assert training._config_from_lines(V1_DEFAULT_METADATA) == config
+    assert training._config_from_lines(text) == config
 
 
 def test_hyperparameter_table_covers_both_configs_once():
@@ -329,10 +336,19 @@ def test_hyperparameter_table_covers_both_configs_once():
 
 
 def test_checkpoint_metadata_errors_are_corruption():
-    with pytest.raises(CheckpointCorruptionError, match="missing key 'adam_eps'"):
-        training._config_from_lines(V1_DEFAULT_METADATA.replace("adam_eps=1e-08\n", ""))
+    with pytest.raises(CheckpointCorruptionError, match="missing key 'omega2'"):
+        training._config_from_lines(V1_DEFAULT_METADATA.replace("omega2=1.0\n", ""))
     with pytest.raises(CheckpointCorruptionError, match="malformed"):
         training._config_from_lines(V1_DEFAULT_METADATA.replace("k=5", "k=five"))
+    # values that parse but that no training run can have written
+    for old, new in (
+        ("view_mode=both", "view_mode=bovh"),
+        ("momentum=0.8", "momentum=8.8"),
+        ("encoder_dims=16,512,256", "encoder_dims=16"),
+        ("predictor_dims=256,512,256", "predictor_dims=128,512,256"),
+    ):
+        with pytest.raises(CheckpointCorruptionError, match="malformed"):
+            training._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
 
 
 def test_checkpoint_roundtrip_preserves_everything(tmp_path, sbm_tiny):
@@ -349,10 +365,8 @@ def test_checkpoint_roundtrip_preserves_everything(tmp_path, sbm_tiny):
         assert a.tobytes() == b.tobytes()
     for a, b in zip(model.model.predictor.params(), loaded.model.predictor.params()):
         assert a.tobytes() == b.tobytes()
-    opt_a, opt_b = model.model.optimizer, loaded.model.optimizer
-    assert opt_a.step == opt_b.step
-    for a, b in zip(opt_a.m1 + opt_a.m2, opt_b.m1 + opt_b.m2):
-        assert a.tobytes() == b.tobytes()
+    # the optimizer is not stored: a loaded model cannot resume training
+    assert loaded.model.optimizer is None
 
 
 def test_checkpoint_roundtrip_embeddings_are_identical(tmp_path, sbm_tiny):
@@ -402,6 +416,173 @@ def test_checkpoint_rejects_mid_tensor_truncation(tmp_path, sbm_tiny):
     clipped.write_bytes(raw[: len(raw) - 7])
     with pytest.raises(CheckpointCorruptionError, match="truncated"):
         load_checkpoint(clipped)
+
+
+def _records(raw: bytes) -> list[tuple[str, int, int, int]]:
+    """(name, start, data offset, end) of each tensor record of a checkpoint,
+    read with the format's layout written out here independently."""
+    (meta_len,) = struct.unpack_from("<Q", raw, 6)
+    pos = 14 + meta_len
+    records = []
+    while pos < len(raw):
+        (name_len,) = struct.unpack_from("<Q", raw, pos)
+        name = raw[pos + 8:pos + 8 + name_len].decode("utf-8")
+        (rank,) = struct.unpack_from("<Q", raw, pos + 8 + name_len)
+        dims = struct.unpack_from(f"<{rank}Q", raw, pos + 16 + name_len)
+        data = pos + 16 + name_len + 8 * rank
+        end = data + 8 * math.prod(dims)
+        records.append((name, pos, data, end))
+        pos = end
+    return records
+
+
+def test_checkpoint_holds_the_networks_and_the_history_only(tmp_path, sbm_tiny):
+    model = train(sbm_tiny, small_config(epochs=2))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    assert [name for name, *_ in _records(raw)] == [
+        f"{net}/{kind}{l}"
+        for net in ("online_encoder", "predictor", "target_encoder")
+        for l in range(2)
+        for kind in ("w", "b")
+    ] + ["history"]
+    (meta_len,) = struct.unpack_from("<Q", raw, 6)
+    assert b"adam_" not in raw[14:14 + meta_len]
+
+
+def test_checkpoint_with_optimizer_state_still_loads(tmp_path, sbm_tiny):
+    """Files from the writer that also stored Adam's state (adam_* keys and
+    optimizer/* records before the history) load to the same model."""
+    model = train(sbm_tiny, small_config(epochs=2))
+    opt = model.model.optimizer
+    items = [item for item in training._tensor_items(model) if item[0] != "history"]
+    items += [(f"optimizer/m1/{i}", m) for i, m in enumerate(opt.m1)]
+    items += [(f"optimizer/m2/{i}", m) for i, m in enumerate(opt.m2)]
+    items += [("optimizer/step", np.array([float(opt.step)])), ("history", model.history)]
+    meta = (training._config_to_lines(model.config) + ADAM_LINES).encode("utf-8")
+    old = tmp_path / "old.ckpt"
+    with open(old, "wb") as f:
+        f.write(b"SNGCL\x01" + struct.pack("<Q", len(meta)) + meta)
+        for name, arr in items:
+            training._write_tensor(f, name, arr)
+
+    loaded = load_checkpoint(old)
+    assert loaded.config == model.config
+    assert loaded.history.tobytes() == model.history.tobytes()
+    assert loaded.model.optimizer is None
+    for output in ("online-local", "concat-both"):
+        assert encode(loaded, sbm_tiny, output).tobytes() == (
+            encode(model, sbm_tiny, output).tobytes()
+        )
+
+
+def test_checkpoint_rejects_a_tensor_shape_the_config_does_not_imply(tmp_path, sbm_tiny):
+    model = train(sbm_tiny, small_config(epochs=1))
+    online = model.model.online_encoder
+    online.weights[1] = online.weights[1].T.copy()  # (12, 6) stored as (6, 12)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(
+        CheckpointCorruptionError,
+        match=r"'online_encoder/w1' has shape \(6, 12\), the config implies \(12, 6\)",
+    ):
+        load_checkpoint(path)
+
+
+def test_checkpoint_faults_raise_only_checkpoint_errors(tmp_path, sbm_tiny):
+    """Truncation at every record's start, data offset and end, and seeded
+    single-bit flips: each faulty file either loads, and then encodes, or
+    raises a CheckpointError subclass.  Flips inside weight values load
+    unnoticed; there is no checksum."""
+    model = train(sbm_tiny, small_config(epochs=2))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    records = _records(raw)
+    (meta_len,) = struct.unpack_from("<Q", raw, 6)
+    cuts = sorted({cut for _, *bounds in records for cut in bounds})
+    header_bytes = np.concatenate(
+        [np.arange(14 + meta_len)] + [np.arange(start, data) for _, start, data, _ in records]
+    )
+    rng = np.random.default_rng(0)
+    # half of the flips land anywhere, half in the metadata and record headers
+    positions = np.concatenate([
+        rng.integers(len(raw), size=1000), rng.choice(header_bytes, size=1000),
+    ])
+    bits = rng.integers(8, size=positions.size)
+    variants = [raw[:cut] for cut in cuts]
+    for pos, bit in zip(positions.tolist(), bits.tolist()):
+        flipped = bytearray(raw)
+        flipped[pos] ^= 1 << bit
+        variants.append(bytes(flipped))
+
+    faulty = tmp_path / "faulty.ckpt"
+    outcomes = Counter()
+    for data in variants:
+        faulty.write_bytes(data)
+        try:
+            loaded = load_checkpoint(faulty)
+        except CheckpointError as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        outcomes["loaded"] += 1
+        with np.errstate(all="ignore"):  # a flipped exponent may overflow
+            assert encode(loaded, sbm_tiny).shape[0] == sbm_tiny.n_nodes
+    assert sum(outcomes.values()) == len(cuts) + 2000
+    assert outcomes["loaded"] and outcomes["CheckpointCorruptionError"]
+
+
+@pytest.mark.parametrize("name, dims", [
+    (b"extra", (1 << 62, 1 << 62)),  # the element count overflows 64 bits
+    (b"extra", (0, (1 << 64) - 1)),  # no bytes, but no array has this shape
+    (b"\xff", (1,)),  # the name is not UTF-8
+])
+def test_checkpoint_rejects_impossible_record_headers(tmp_path, sbm_tiny, name, dims):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(train(sbm_tiny, small_config(epochs=1)), path)
+    record = struct.pack(f"<Q{len(name)}sQ{len(dims)}Q", len(name), name, len(dims), *dims)
+    path.write_bytes(path.read_bytes() + record + b"\0" * 8)
+    with pytest.raises(CheckpointCorruptionError):
+        load_checkpoint(path)
+
+
+def test_failed_save_leaves_the_previous_checkpoint_in_place(tmp_path, sbm_tiny, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(train(sbm_tiny, small_config(epochs=1)), path)
+    before = path.read_bytes()
+
+    write_tensor = training._write_tensor
+    written = []
+
+    def fail_after_the_first_record(f, name, arr):
+        if written:
+            raise OSError("no space left on device")
+        written.append(name)
+        write_tensor(f, name, arr)
+
+    monkeypatch.setattr(training, "_write_tensor", fail_after_the_first_record)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(train(sbm_tiny, small_config(epochs=2, seed=1)), path)
+    assert written == ["online_encoder/w0"]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_failed_history_write_leaves_the_previous_file_in_place(tmp_path, sbm_tiny, monkeypatch):
+    path = tmp_path / "history.tsv"
+    model = train(sbm_tiny, small_config(epochs=2))
+    write_history(path, model.history[:1])
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_history(path, model.history)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["history.tsv"]
 
 
 def test_write_history_round_trips_values(tmp_path, sbm_tiny):
