@@ -36,6 +36,7 @@ from .training import (
     EMBED_ONLINE_LOCAL,
     HYPERPARAMETERS,
     _config_to_lines,
+    _replacing,
     config_from_values,
     encode,
     int_list,
@@ -136,7 +137,8 @@ def _emit(record: RunRecord, path) -> None:
     if path is None:
         sys.stdout.write(record.to_text())
     else:
-        Path(path).write_text(record.to_text(), encoding="utf-8")
+        with _replacing(path) as f:
+            f.write(record.to_text().encode("utf-8"))
 
 
 def cmd_gen_sbm(args, argv) -> int:
@@ -164,7 +166,8 @@ def cmd_preprocess(args, argv) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, mode in (("x_global.tsv", RANDOM_WALK), ("x_local.tsv", SYMMETRIC)):
             x = smooth_features(g, args.t, mode)
-            np.savetxt(out / name, x, fmt="%.17g", delimiter="\t")
+            with _replacing(out / name) as f:
+                np.savetxt(f, x, fmt="%.17g", delimiter="\t")
         print(f"smoothed views (t={args.t}) -> {out}")
     return 0
 

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 from .errors import InputError, IntegrityError, ParseError
 from .graph import Graph, build_graph
+from .training import _replacing
 
 logger = logging.getLogger(__name__)
 
@@ -146,20 +147,21 @@ def save_canonical(graph: Graph, directory) -> None:
         f"n_classes={graph.n_classes or 0}\n"
         f"n_edges={upper.nnz}\n"
     )
-    (directory / MANIFEST_NAME).write_text(manifest, encoding="utf-8")
+    with _replacing(directory / MANIFEST_NAME) as f:
+        f.write(manifest.encode("utf-8"))
 
-    with open(directory / EDGES_NAME, "w", encoding="utf-8") as f:
+    with _replacing(directory / EDGES_NAME) as f:
         for i, j in zip(upper.row, upper.col):
-            f.write(f"{i}\t{j}\n")
+            f.write(f"{i}\t{j}\n".encode("utf-8"))
 
-    with open(directory / FEATURES_NAME, "w", encoding="utf-8") as f:
+    with _replacing(directory / FEATURES_NAME) as f:
         for row in graph.features:
-            f.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+            f.write(("\t".join(f"{v:.17g}" for v in row) + "\n").encode("utf-8"))
 
     labels = graph.labels if graph.labels is not None else np.full(graph.n_nodes, -1)
-    with open(directory / LABELS_NAME, "w", encoding="utf-8") as f:
+    with _replacing(directory / LABELS_NAME) as f:
         for v in labels:
-            f.write(f"{int(v)}\n")
+            f.write(f"{int(v)}\n".encode("utf-8"))
 
 
 def _manifest_int(kv: dict, key: str, path: Path) -> int:
@@ -346,10 +348,9 @@ def export_embeddings(path, embeddings: np.ndarray, node_ids=None) -> None:
         raise InputError(
             f"{len(node_ids)} node ids for {embeddings.shape[0]} embedding rows"
         )
-    with open(path, "w", encoding="utf-8") as f:
+    with _replacing(path) as f:
         for r, row in enumerate(embeddings):
             values = "\t".join(f"{v:.17g}" for v in row)
             if node_ids is not None:
-                f.write(f"{node_ids[r]}\t{values}\n")
-            else:
-                f.write(values + "\n")
+                values = f"{node_ids[r]}\t{values}"
+            f.write(f"{values}\n".encode("utf-8"))

@@ -7,17 +7,24 @@ adjacency ``A_hat = A + I`` with degree ``d_hat``:
 * symmetric:    ``H = D_hat^-1/2 A_hat D_hat^-1/2``  (symmetric, local view)
 
 Smoothing applies ``H`` to the feature matrix ``t`` times as sparse-dense
-products; the dense power ``H^t`` is never materialized.
+products; the dense power ``H^t`` is never materialized.  For sparse
+features, :func:`smoothed_operator` goes one step further and never forms
+``H^t X`` either: it is the linear operator ``H^t X``, so a first layer
+``(H^t X) W`` is computed as ``H^t (X W)`` from sparse products alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 RANDOM_WALK = "random-walk"
 SYMMETRIC = "symmetric"
@@ -156,3 +163,21 @@ def smooth_features(graph: Graph, t: int, mode: str) -> np.ndarray:
     for _ in range(t):
         x = h @ x
     return np.ascontiguousarray(x)
+
+
+def smoothed_operator(graph: Graph, t: int, mode: str) -> LinearOperator:
+    """``H^t X`` as a linear operator that is never formed.
+
+    ``op @ W`` computes ``H^t (X W)`` and ``op.T @ G`` computes
+    ``X^T (H^T)^t G``, each from sparse products with ``H`` and a CSR copy
+    of ``X``; they equal ``smooth_features(graph, t, mode) @ W`` and its
+    transpose up to rounding.
+    """
+    # Imported on first use: scipy.sparse.linalg adds about 10 MB to the
+    # resident set, which runs on dense features never need.
+    from scipy.sparse.linalg import aslinearoperator
+
+    if t < 0:
+        raise InputError(f"stacking depth t must be >= 0, got {t}")
+    h = aslinearoperator(propagation_matrix(graph, mode))
+    return h**t * aslinearoperator(sp.csr_matrix(graph.features))

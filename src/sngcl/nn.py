@@ -127,18 +127,26 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moments over a flat parameter list, plus the step count."""
+    """First/second moments over a flat parameter list, plus the step count.
+
+    ``scratch`` holds two flat work arrays the size of the largest
+    parameter, which every parameter's update reuses, so that a step
+    allocates nothing.
+    """
 
     step: int
     m1: list[np.ndarray]
     m2: list[np.ndarray]
+    scratch: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
+    size = max((p.size for p in params), default=0)
     return AdamState(
         step=0,
         m1=[np.zeros_like(p) for p in params],
         m2=[np.zeros_like(p) for p in params],
+        scratch=(np.empty(size), np.empty(size)),
     )
 
 
@@ -148,26 +156,38 @@ def adam_step(
     grads: list[np.ndarray],
     lr: float,
 ) -> None:
-    """Standard Adam update with bias correction, applied in place."""
+    """Standard Adam update with bias correction, applied in place.
+
+    Per parameter: ``m1 = b1 m1 + (1 - b1) g``, ``m2 = b2 m2 + (1 - b2) g g``
+    and ``p -= lr (m1 / c1) / (sqrt(m2 / c2) + eps)`` with the bias
+    corrections ``c = 1 - b**step``, each operation rounded in that order.
+    """
     if len(params) != len(state.m1) or len(grads) != len(params):
         raise InputError("parameter / gradient / moment list lengths disagree")
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     for p, g, m1, m2 in zip(params, grads, state.m1, state.m2):
         if p.shape != g.shape:
             raise InputError(f"grad shape {g.shape} != param shape {p.shape}")
+        u, v = (s[: p.size].reshape(p.shape) for s in state.scratch)
         m1 *= b1
-        m1 += (1.0 - b1) * g
+        m1 += np.multiply(1.0 - b1, g, out=u)
         m2 *= b2
-        m2 += (1.0 - b2) * g * g
-        m1_hat = m1 / (1.0 - b1**t)
-        m2_hat = m2 / (1.0 - b2**t)
-        p -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+        np.multiply(1.0 - b2, g, out=u)
+        m2 += np.multiply(u, g, out=u)
+        np.divide(m1, c1, out=u)
+        u *= lr
+        np.divide(m2, c2, out=v)
+        np.sqrt(v, out=v)
+        v += ADAM_EPS
+        p -= np.divide(u, v, out=u)
 
 
 def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:
-    """EMA update ``target <- m * target + (1 - m) * online``, elementwise.
+    """EMA update ``target <- m * target + (1 - m) * online``, elementwise
+    and in place; returns ``target``.
 
     This is the only path through which target parameters ever change; no
     gradient flows into the target network anywhere in the system.
@@ -176,9 +196,9 @@ def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:
         raise InputError(f"momentum must lie in [0, 1], got {m}")
     if [w.shape for w in target.weights] != [w.shape for w in online.weights]:
         raise InputError("target / online layer shapes disagree")
-    for l in range(target.n_layers):
-        target.weights[l] = m * target.weights[l] + (1.0 - m) * online.weights[l]
-        target.biases[l] = m * target.biases[l] + (1.0 - m) * online.biases[l]
+    for tp, op in zip(target.params(), online.params()):
+        tp *= m
+        tp += (1.0 - m) * op
     return target
 
 

@@ -52,6 +52,18 @@ def random_graph(rng: np.random.Generator, n: int, p: float, n_features: int):
     return build_graph(edges, features)
 
 
+def sparse_feature_graph(seed: int = 0, n: int = 120, n_features: int = 200):
+    """Random graph with 0/1 bag-of-words-like features, 2% of them non-zero,
+    and about 1.8 edges per node: sparse enough that training reads its views
+    as operators rather than dense matrices."""
+    rng = np.random.default_rng(seed)
+    draw = rng.random((n, n))
+    edges = list(zip(*np.nonzero(np.triu(draw < 0.015, k=1))))
+    features = (rng.random((n, n_features)) < 0.02).astype(np.float64)
+    labels = rng.integers(0, 3, size=n)
+    return build_graph(edges, features, labels=labels, n_classes=3)
+
+
 def dense_smooth_oracle(graph, t: int, mode: str) -> np.ndarray:
     """Reference smoothing: build the dense operator, take its t-th matrix
     power, and multiply once.  Deliberately a different computation path from
@@ -65,6 +77,11 @@ def dense_smooth_oracle(graph, t: int, mode: str) -> np.ndarray:
         s = 1.0 / np.sqrt(d_hat)
         h = a_hat * s[:, None] * s[None, :]
     return np.linalg.matrix_power(h, t) @ graph.features
+
+
+def rel_err(got, want) -> float:
+    """Frobenius-norm relative error of ``got`` against ``want``."""
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -328,3 +328,89 @@ def test_ablate_reports_all_view_modes(sbm_dir, tmp_path):
     # three result rows: one per view mode for the single seed
     results = text.split("[results]")[1].split("[summary]")[0].strip().splitlines()
     assert len(results) == 1 + 3  # header + rows
+
+
+class _DiskFullFile:
+    """A file whose first write stores half its bytes and then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.f.__exit__(*exc)
+
+
+def _planetoid_toy(tmp_path, extra_word):
+    content, cites = tmp_path / "toy.content", tmp_path / "toy.cites"
+    content.write_text(f"p1\t1\t0\tA\np2\t0\t1\tB\np3\t1\t{extra_word}\tA\n")
+    cites.write_text("p1\tp2\np2\tp3\n")
+    return content, cites
+
+
+def _write_views(tmp_path, version):
+    from sngcl.cli import build_parser
+
+    content, cites = _planetoid_toy(tmp_path, version)
+    argv = [
+        "preprocess", "--content", str(content), "--cites", str(cites),
+        "--out", str(tmp_path / "toy"), "--views-out", str(tmp_path / "out"),
+    ]
+    args = build_parser().parse_args(argv)
+    args.func(args, argv)  # run_command would turn the OSError into exit 1
+
+
+def _write_record(tmp_path, version):
+    from sngcl.cli import RunRecord, _emit
+
+    _emit(RunRecord(metadata={"version": version}, sections=[]), tmp_path / "out" / "record.txt")
+
+
+def _write_canonical(tmp_path, version):
+    from sngcl.data import SbmConfig, generate_sbm, save_canonical
+
+    save_canonical(generate_sbm(SbmConfig(nodes_per_block=5, p_in=0.8, seed=version)), tmp_path / "out")
+
+
+def _write_embeddings(tmp_path, version):
+    from sngcl.data import export_embeddings
+
+    export_embeddings(tmp_path / "out" / "emb.tsv", np.full((3, 2), float(version)))
+
+
+@pytest.mark.parametrize("writer, target", [
+    (_write_record, "record.txt"),
+    (_write_canonical, "manifest.txt"),
+    (_write_canonical, "edges.tsv"),
+    (_write_canonical, "features.tsv"),
+    (_write_canonical, "labels.tsv"),
+    (_write_embeddings, "emb.tsv"),
+    (_write_views, "x_global.tsv"),
+    (_write_views, "x_local.tsv"),
+])
+def test_a_write_failing_partway_keeps_the_earlier_file(tmp_path, monkeypatch, writer, target):
+    import builtins
+
+    import sngcl.training as training
+
+    out = tmp_path / "out"
+    out.mkdir()
+    writer(tmp_path, 0)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert target in before
+
+    def open_failing_target(path, mode):
+        f = builtins.open(path, mode)
+        return _DiskFullFile(f) if f".{target}." in str(path) else f
+
+    monkeypatch.setattr(training, "open", open_failing_target, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        writer(tmp_path, 1)
+    assert (out / target).read_bytes() == before[target]
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import dense_smooth_oracle, random_graph
+from conftest import dense_smooth_oracle, random_graph, rel_err, sparse_feature_graph
 
 from sngcl.errors import InputError
 from sngcl.graph import (
@@ -12,6 +12,7 @@ from sngcl.graph import (
     build_graph,
     propagation_matrix,
     smooth_features,
+    smoothed_operator,
 )
 
 
@@ -159,3 +160,24 @@ def test_build_graph_rejects_non_finite_features():
     x[7, 2] = -np.inf
     with pytest.raises(InputError, match="non-finite"):
         build_graph(ring, x)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("t", [0, 1, 3])
+def test_smoothed_operator_products_match_smooth_features(mode, t):
+    g = sparse_feature_graph()
+    rng = np.random.default_rng(t)
+    w = rng.standard_normal((g.n_features, 16))
+    dz = rng.standard_normal((g.n_nodes, 16))
+    op = smoothed_operator(g, t, mode)
+    x = smooth_features(g, t, mode)
+    assert op.shape == x.shape
+    assert rel_err(op @ w, x @ w) <= 1e-12
+    assert rel_err(op.T @ dz, x.T @ dz) <= 1e-12
+
+
+def test_smoothed_operator_rejects_bad_depth_and_mode(path_graph):
+    with pytest.raises(InputError, match="t must be"):
+        smoothed_operator(path_graph, -1, RANDOM_WALK)
+    with pytest.raises(InputError, match="unknown propagation mode"):
+        smoothed_operator(path_graph, 1, "lazy")

@@ -6,6 +6,9 @@ from conftest import numeric_grad
 
 from sngcl.errors import InputError
 from sngcl.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Mlp,
     ModelState,
     adam_step,
@@ -145,6 +148,47 @@ def test_adam_updates_in_place_and_checks_shapes():
         adam_step(state, [p], [np.ones(3)], lr=0.1)
     with pytest.raises(InputError):
         adam_step(state, [p, p], [np.ones((2, 2))], lr=0.1)
+
+
+def test_adam_is_bitwise_equal_to_the_allocating_formula():
+    # The update as written before Adam used preallocated scratch: every
+    # operation allocates its result, in this order.
+    def reference_step(params, grads, m1s, m2s, t, lr):
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for p, g, m1, m2 in zip(params, grads, m1s, m2s):
+            m1 *= b1
+            m1 += (1.0 - b1) * g
+            m2 *= b2
+            m2 += (1.0 - b2) * g * g
+            m1_hat = m1 / (1.0 - b1**t)
+            m2_hat = m2 / (1.0 - b2**t)
+            p -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+
+    rng = np.random.default_rng(11)
+    shapes = [(7, 5), (5,), (5, 3), (3,), (1, 1)]
+    # parameters as small as a step, so that a step's last bit reaches them
+    params = [rng.standard_normal(s) * 1e-3 for s in shapes]
+    ref = [p.copy() for p in params]
+    ref_m1 = [np.zeros_like(p) for p in params]
+    ref_m2 = [np.zeros_like(p) for p in params]
+    state = init_adam(params)
+    for t in range(1, 21):
+        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        adam_step(state, params, grads, lr=1e-3)
+        reference_step(ref, grads, ref_m1, ref_m2, t, 1e-3)
+        for got, want in zip(params + state.m1 + state.m2, ref + ref_m1 + ref_m2):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_momentum_update_works_in_place_bitwise():
+    online = init_mlp([6, 4, 3], stream_rng(0, "init"))
+    target = init_mlp([6, 4, 3], stream_rng(1, "init"))
+    arrays = target.params()
+    want = [0.8 * t + (1.0 - 0.8) * o for t, o in zip(target.params(), online.params())]
+    assert momentum_update(target, online, 0.8) is target
+    for before, after, w in zip(arrays, target.params(), want):
+        assert after is before
+        assert after.tobytes() == w.tobytes()
 
 
 def test_momentum_update_is_a_convex_combination():

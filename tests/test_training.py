@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import numeric_grad, rel_err, sparse_feature_graph
+from scipy.sparse.linalg import LinearOperator
 
 import sngcl.training as training
 from sngcl.errors import (
@@ -19,7 +21,7 @@ from sngcl.errors import (
     TrainingDivergedError,
 )
 from sngcl.graph import Graph
-from sngcl.losses import LossConfig, total_loss
+from sngcl.losses import LossConfig, sample_neighbor_indices, total_loss
 from sngcl.nn import init_mlp, mlp_forward
 from sngcl.rng import stream_rng
 from sngcl.training import (
@@ -196,8 +198,6 @@ def test_epoch_gradients_with_normalization_match_finite_differences(sbm_tiny):
     for mlp in (online, predictor, target):
         for b in mlp.biases:
             b += 0.2
-    from sngcl.losses import sample_neighbor_indices
-
     plan = EpochPlan(
         neighbor_idx=sample_neighbor_indices(sbm_tiny, 2, stream_rng(0, "neighbor")),
         permutations=[
@@ -216,8 +216,6 @@ def test_epoch_gradients_with_normalization_match_finite_differences(sbm_tiny):
             negatives=frozen,
         )
         return total_loss(f.batch, config.loss).total
-
-    from conftest import numeric_grad
 
     for got, param in [
         (enc_grads.weights[0], online.weights[0]),
@@ -297,6 +295,128 @@ def test_encoder_output_matches_manual_forward(sbm_tiny):
     online_in, _ = resolve_view_inputs(sbm_tiny, model.config.t, model.config.view_mode)
     manual, _ = mlp_forward(model.model.online_encoder, online_in)
     np.testing.assert_array_equal(encode(model, sbm_tiny), manual)
+
+
+# --- the factorised first layer -------------------------------------------
+
+SPARSE_SMALL = dict(encoder_dims=[200, 3, 2], predictor_dims=[2, 3, 2])
+
+
+def test_cost_rule_reads_sparse_features_as_operators(sbm_tiny, monkeypatch):
+    calls = []
+    real = training.smooth_features
+
+    def counting(graph, t, mode):
+        calls.append(mode)
+        return real(graph, t, mode)
+
+    monkeypatch.setattr(training, "smooth_features", counting)
+    for view_mode in training.VIEW_MODES:
+        online_in, target_in = resolve_view_inputs(sbm_tiny, 3, view_mode)
+        assert isinstance(online_in, np.ndarray) and isinstance(target_in, np.ndarray)
+
+    sparse = sparse_feature_graph()
+    calls.clear()
+    for view_mode in training.VIEW_MODES:
+        online_in, target_in = resolve_view_inputs(sparse, 3, view_mode)
+        assert isinstance(online_in, LinearOperator) and isinstance(target_in, LinearOperator)
+    model = train(sparse, small_config(epochs=2, **SPARSE_SMALL))
+    encode(model, sparse, output="concat-both")
+    assert calls == []  # the dense H^t X is never formed
+
+
+def _sparse_epoch_instance(view_mode):
+    """A small model on the sparse-feature graph with its ReLUs opened, one
+    epoch's sampling choices, and both forms of the two views."""
+    graph = sparse_feature_graph()
+    config = TrainConfig(
+        view_mode=view_mode, **SPARSE_SMALL, loss=LossConfig(k=3, n_neighbors=2),
+    ).resolved(graph.n_features)
+    rng = stream_rng(3, "init")
+    online = init_mlp(config.encoder_dims, rng)
+    predictor = init_mlp(config.predictor_dims, rng)
+    target = init_mlp(config.encoder_dims, rng)
+    for mlp in (online, predictor, target):
+        for b in mlp.biases:
+            b += 0.2
+    plan = EpochPlan(
+        neighbor_idx=sample_neighbor_indices(graph, 2, stream_rng(0, "neighbor")),
+        permutations=[stream_rng(0, "shuffle").permutation(graph.n_nodes) for _ in range(3)],
+    )
+    online_filter, target_filter = training.VIEW_FILTERS[view_mode]
+    dense = (
+        training.smooth_features(graph, config.t, online_filter),
+        training.smooth_features(graph, config.t, target_filter),
+    )
+    operators = resolve_view_inputs(graph, config.t, view_mode)
+    return config, (online, predictor, target), plan, dense, operators
+
+
+@pytest.mark.parametrize("view_mode", training.VIEW_MODES)
+def test_factorised_epoch_matches_the_dense_epoch(view_mode):
+    config, nets, plan, dense, operators = _sparse_epoch_instance(view_mode)
+    online, predictor, _ = nets
+    results = []
+    for inputs in (dense, operators):
+        fwd = _epoch_forward(*nets, *inputs, plan, config)
+        out = total_loss(fwd.batch, config.loss)
+        enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan, config)
+        results.append((fwd, out, enc_grads.params() + pred_grads.params()))
+    (fwd_d, out_d, grads_d), (fwd_o, out_o, grads_o) = results
+    assert isinstance(operators[0], LinearOperator)
+    assert rel_err(fwd_o.anchor, fwd_d.anchor) <= 1e-12
+    assert rel_err(fwd_o.batch.positive_struct, fwd_d.batch.positive_struct) <= 1e-12
+    assert abs(out_o.total - out_d.total) <= 1e-12 * abs(out_d.total)
+    for got, want in zip(grads_o, grads_d):
+        assert rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("view_mode", training.VIEW_MODES)
+def test_factorised_epoch_gradients_match_finite_differences(view_mode):
+    config, nets, plan, _, operators = _sparse_epoch_instance(view_mode)
+    online, predictor, _ = nets
+    fwd = _epoch_forward(*nets, *operators, plan, config)
+    out = total_loss(fwd.batch, config.loss)
+    enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan, config)
+    frozen = [neg.copy() for neg in fwd.batch.negatives]
+
+    def loss_value():
+        f = _epoch_forward(*nets, *operators, plan, config, negatives=frozen)
+        return total_loss(f.batch, config.loss).total
+
+    pairs = list(zip(online.params(), enc_grads.params()))
+    pairs += list(zip(predictor.params(), pred_grads.params()))
+    for param, analytic in pairs:
+        fd = numeric_grad(loss_value, param, eps=1e-5)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
+        assert np.max(np.abs(analytic - fd) / denom) < 1e-4
+
+
+def test_factorised_training_is_bitwise_repeatable(tmp_path):
+    graph = sparse_feature_graph()
+    config = small_config(epochs=4, **SPARSE_SMALL)
+    runs = [train(graph, config) for _ in range(2)]
+    for i, model in enumerate(runs):
+        save_checkpoint(model, tmp_path / f"{i}.ckpt")
+        write_history(tmp_path / f"{i}.tsv", model.history)
+    assert runs[0].history.tobytes() == runs[1].history.tobytes()
+    assert (tmp_path / "0.ckpt").read_bytes() == (tmp_path / "1.ckpt").read_bytes()
+    assert (tmp_path / "0.tsv").read_bytes() == (tmp_path / "1.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("output", training.EMBED_MODES)
+def test_factorised_encode_survives_the_checkpoint_round_trip(tmp_path, output):
+    graph = sparse_feature_graph()
+    model = train(graph, small_config(epochs=3, **SPARSE_SMALL))
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    restored = load_checkpoint(tmp_path / "model.ckpt")
+    in_memory = encode(model, graph, output=output)
+    assert encode(restored, graph, output=output).tobytes() == in_memory.tobytes()
+    # and the operator gives the dense path's embeddings up to rounding
+    dense = mlp_forward(
+        model.model.online_encoder, training.smooth_features(graph, 3, "symmetric")
+    )[0]
+    assert rel_err(in_memory[:, :2], dense) <= 1e-12
 
 
 # --- checkpoints ------------------------------------------------------------
