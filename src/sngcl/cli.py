@@ -215,6 +215,9 @@ def cmd_eval(args, argv) -> int:
     t_probe = time.perf_counter()
     if report.degenerate:
         print("warning: embeddings have zero variance in every column", file=sys.stderr)
+    if report.probe_unconverged:
+        n = report.probe_unconverged
+        print(f"warning: probe did not converge on {n} of {len(seeds)} splits", file=sys.stderr)
 
     metadata = {
         "command": "eval",
@@ -224,6 +227,8 @@ def cmd_eval(args, argv) -> int:
         "train_per_class": spec.train_per_class,
         "seeds": ",".join(str(s) for s in seeds),
         "degenerate": int(report.degenerate),
+        "probe_iterations": report.probe_iterations,
+        "probe_unconverged": report.probe_unconverged,
     }
     if spec.val_total is not None:
         metadata["val_total"] = spec.val_total

@@ -1,8 +1,8 @@
 """Downstream evaluation: stratified splits and a linear probe.
 
-The probe is a deliberately plain multinomial logistic regression trained by
-full-batch gradient descent from a zero initialization, so its output is a
-pure function of the embeddings and the split.
+The probe is multinomial logistic regression on standardised features, solved
+to a gradient tolerance by L-BFGS from zero, so its output is a pure function
+of the embeddings and the split.
 """
 
 from __future__ import annotations
@@ -44,6 +44,17 @@ class Split:
     test_idx: np.ndarray
 
 
+def _first_per_class(nodes, labels: np.ndarray, n_classes: int, k: int):
+    """The first ``k`` nodes of each class in the order given, and the rest."""
+    taken = np.zeros(n_classes, dtype=np.int64)
+    first, rest = [], []
+    for i in nodes:
+        full = taken[labels[i]] >= k
+        taken[labels[i]] += not full
+        (rest if full else first).append(i)
+    return first, rest
+
+
 def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Split:
     """Draw a stratified split over the labeled nodes.
 
@@ -63,34 +74,16 @@ def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Spli
             )
 
     order = labeled[rng.permutation(labeled.size)]
-    taken_train = np.zeros(n_classes, dtype=np.int64)
-    train, rest = [], []
-    for i in order:
-        c = labels[i]
-        if taken_train[c] < spec.train_per_class:
-            train.append(i)
-            taken_train[c] += 1
-        else:
-            rest.append(i)
-
+    train, rest = _first_per_class(order, labels, n_classes, spec.train_per_class)
     if spec.val_total is not None:
         if len(rest) < spec.val_total:
             raise InputError(
                 f"only {len(rest)} labeled nodes remain after training "
                 f"selection, fewer than val_total={spec.val_total}"
             )
-        val = rest[: spec.val_total]
-        test = rest[spec.val_total:]
+        val, test = rest[: spec.val_total], rest[spec.val_total:]
     else:
-        taken_val = np.zeros(n_classes, dtype=np.int64)
-        val, test = [], []
-        for i in rest:
-            c = labels[i]
-            if taken_val[c] < spec.val_per_class:
-                val.append(i)
-                taken_val[c] += 1
-            else:
-                test.append(i)
+        val, test = _first_per_class(rest, labels, n_classes, spec.val_per_class)
 
     return Split(
         train_idx=np.sort(np.asarray(train, dtype=np.int64)),
@@ -99,38 +92,33 @@ def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Spli
     )
 
 
-@dataclass
-class ProbeConfig:
-    lr: float = 1e-2
-    epochs: int = 300
-    l2: float = 1e-4
+# The probe has no settings: it solves one convex objective to a tolerance.
+PROBE_L2 = 1e-4  # penalty 0.5 * PROBE_L2 * ||W||^2; the bias is not penalised
+PROBE_TOLERANCE = 1e-5  # stop once max |gradient| <= this
+PROBE_MAX_ITERATIONS = 500
+PROBE_HISTORY = 10  # L-BFGS correction pairs
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 
 
 @dataclass
 class Probe:
     weights: np.ndarray  # (d, n_classes)
     bias: np.ndarray  # (n_classes,)
-    losses: np.ndarray | None = None  # objective at each epoch, plus the final value
+    losses: np.ndarray  # objective at the start and at each accepted iterate
+    iterations: int
+    converged: bool
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(x @ self.weights + self.bias, axis=1)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def train_probe(
-    x: np.ndarray, y: np.ndarray, n_classes: int, config: ProbeConfig | None = None
-) -> Probe:
-    """Fit the linear probe on (x, y) by full-batch gradient descent.
-
-    Cross entropy plus an L2 penalty on the weight matrix only; the bias is
-    unregularized.  Zero initialization makes the result deterministic.
-    """
-    config = config or ProbeConfig()
+def train_probe(x: np.ndarray, y: np.ndarray, n_classes: int) -> Probe:
+    """Fit multinomial logistic regression on (x, y) to convergence: mean
+    cross entropy plus ``0.5 * PROBE_L2 * ||W||^2`` on features standardised
+    with the training rows' mean and std, which are folded into the result.
+    L-BFGS from zero with Armijo backtracking; a line search that finds no
+    descent step ends the fit as not converged."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.shape[0] != y.shape[0]:
@@ -138,24 +126,56 @@ def train_probe(
     if x.shape[0] == 0:
         raise InputError("cannot fit a probe on an empty training set")
     n, d = x.shape
-    w = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    std[std == 0] = 1.0
+    z = (x - mean) / std
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
 
-    def objective(p):
-        ce = -np.log(np.maximum(p[np.arange(n), y], 1e-300)).mean()
-        return ce + 0.5 * config.l2 * float(np.sum(w * w))
+    def objective(theta):
+        w, b = theta[:-n_classes].reshape(d, n_classes), theta[-n_classes:]
+        logits = z @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(logits).sum(axis=1))
+        g = (np.exp(logits - lse[:, None]) - onehot) / n
+        value = np.mean(lse - logits[np.arange(n), y]) + 0.5 * PROBE_L2 * np.sum(w * w)
+        return value, np.concatenate([(z.T @ g + PROBE_L2 * w).ravel(), g.sum(axis=0)])
 
-    losses = np.empty(config.epochs + 1)
-    for epoch in range(config.epochs):
-        p = _softmax(x @ w + b)
-        losses[epoch] = objective(p)
-        g = (p - onehot) / n
-        w -= config.lr * (x.T @ g + config.l2 * w)
-        b -= config.lr * g.sum(axis=0)
-    losses[-1] = objective(_softmax(x @ w + b))
-    return Probe(weights=w, bias=b, losses=losses)
+    theta = np.zeros((d + 1) * n_classes)
+    f, g = objective(theta)
+    losses, pairs = [f], []
+    converged = bool(np.max(np.abs(g)) <= PROBE_TOLERANCE)
+    while not converged and len(losses) <= PROBE_MAX_ITERATIONS:
+        # two-loop recursion: direction = -H g from the stored (s, y) pairs
+        q, alphas = g.copy(), []
+        for s, yv in reversed(pairs):
+            alphas.append(s @ q / (yv @ s))
+            q -= alphas[-1] * yv
+        if pairs:
+            q *= pairs[-1][0] @ pairs[-1][1] / (pairs[-1][1] @ pairs[-1][1])
+        for (s, yv), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - yv @ q / (yv @ s)) * s
+        direction, slope = -q, -(g @ q)
+        if not slope < 0:
+            direction, slope, pairs = -g, -(g @ g), []
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            f_new, g_new = objective(theta + step * direction)
+            if f_new <= f + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # no descent step: stop with converged False
+        s, yv = step * direction, g_new - g
+        if s @ yv > 1e-12 * np.sqrt((s @ s) * (yv @ yv)):
+            pairs = (pairs + [(s, yv)])[-PROBE_HISTORY:]
+        theta, f, g = theta + s, f_new, g_new
+        losses.append(f)
+        converged = bool(np.max(np.abs(g)) <= PROBE_TOLERANCE)
+
+    w, b = theta[:-n_classes].reshape(d, n_classes), theta[-n_classes:]
+    weights, bias = w / std[:, None], b - (mean / std) @ w
+    return Probe(weights, bias, np.array(losses), len(losses) - 1, converged)
 
 
 def accuracy(predicted: np.ndarray, expected: np.ndarray) -> float:
@@ -163,9 +183,7 @@ def accuracy(predicted: np.ndarray, expected: np.ndarray) -> float:
     predicted = np.asarray(predicted)
     expected = np.asarray(expected)
     if predicted.shape != expected.shape:
-        raise InputError(
-            f"prediction shape {predicted.shape} != label shape {expected.shape}"
-        )
+        raise InputError(f"prediction shape {predicted.shape} != label shape {expected.shape}")
     if predicted.size == 0:
         raise InputError("accuracy of an empty index set is undefined")
     return float(np.mean(predicted == expected))
@@ -180,7 +198,8 @@ class EvalRow:
 
 @dataclass
 class EvalReport:
-    """Per-seed probe accuracies plus their mean and sample std."""
+    """Per-seed probe accuracies plus their mean and sample std, the most
+    iterations any split's probe took and how many did not converge."""
 
     rows: list[EvalRow]
     mean_val: float
@@ -188,23 +207,12 @@ class EvalReport:
     mean_test: float
     std_test: float
     degenerate: bool = False
-
-    def to_tsv(self) -> str:
-        lines = ["seed\tacc_val\tacc_test"]
-        for row in self.rows:
-            lines.append(f"{row.seed}\t{row.acc_val:.17g}\t{row.acc_test:.17g}")
-        lines.append(f"mean\t{self.mean_val:.17g}\t{self.mean_test:.17g}")
-        lines.append(f"std\t{self.std_val:.17g}\t{self.std_test:.17g}")
-        return "\n".join(lines) + "\n"
+    probe_iterations: int = 0
+    probe_unconverged: int = 0
 
 
 def evaluate_embeddings(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    spec: SplitSpec,
-    seeds,
-    probe_config: ProbeConfig | None = None,
+    embeddings: np.ndarray, labels: np.ndarray, n_classes: int, spec: SplitSpec, seeds
 ) -> EvalReport:
     """Probe accuracy over one stratified split per seed.
 
@@ -214,27 +222,24 @@ def evaluate_embeddings(
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     if embeddings.shape[0] != labels.shape[0]:
-        raise InputError(
-            f"{embeddings.shape[0]} embedding rows but {labels.shape[0]} labels"
-        )
+        raise InputError(f"{embeddings.shape[0]} embedding rows but {labels.shape[0]} labels")
+    if not np.all(np.isfinite(embeddings)):
+        raise InputError("embeddings contain NaN or infinite values")
     seeds = list(seeds)
     if not seeds:
         raise InputError("need at least one evaluation seed")
     degenerate = bool(np.all(embeddings.std(axis=0) < 1e-12))
 
-    rows = []
+    rows, probes = [], []
     for seed in seeds:
         split = make_split(labels, n_classes, spec, stream_rng(seed, "split"))
-        probe = train_probe(
-            embeddings[split.train_idx], labels[split.train_idx], n_classes, probe_config
-        )
-        rows.append(
-            EvalRow(
-                seed=seed,
-                acc_val=accuracy(probe.predict(embeddings[split.val_idx]), labels[split.val_idx]),
-                acc_test=accuracy(probe.predict(embeddings[split.test_idx]), labels[split.test_idx]),
-            )
-        )
+        probe = train_probe(embeddings[split.train_idx], labels[split.train_idx], n_classes)
+        probes.append(probe)
+        rows.append(EvalRow(
+            seed=seed,
+            acc_val=accuracy(probe.predict(embeddings[split.val_idx]), labels[split.val_idx]),
+            acc_test=accuracy(probe.predict(embeddings[split.test_idx]), labels[split.test_idx]),
+        ))
     vals = np.array([r.acc_val for r in rows])
     tests = np.array([r.acc_test for r in rows])
     std = lambda a: float(a.std(ddof=1)) if a.size > 1 else 0.0
@@ -245,6 +250,8 @@ def evaluate_embeddings(
         mean_test=float(tests.mean()),
         std_test=std(tests),
         degenerate=degenerate,
+        probe_iterations=max(p.iterations for p in probes),
+        probe_unconverged=sum(not p.converged for p in probes),
     )
 
 
@@ -277,13 +284,8 @@ class AblationReport:
 
 
 def run_ablation(
-    graph,
-    base_config,
-    train_seeds,
-    spec: SplitSpec,
-    view_modes=None,
+    graph, base_config, train_seeds, spec: SplitSpec, view_modes=None,
     embed_output: str | None = None,
-    probe_config: ProbeConfig | None = None,
 ) -> AblationReport:
     """Train and probe once per (view mode, seed) pair.
 
@@ -301,16 +303,13 @@ def run_ablation(
     if not train_seeds:
         raise InputError("need at least one training seed")
 
-    rows = []
-    summaries = []
+    rows, summaries = [], []
     for mode in view_modes:
         accs_val, accs_test = [], []
         for seed in train_seeds:
             model = train(graph, replace(base_config, seed=seed, view_mode=mode))
             emb = encode(model, graph, embed_output)
-            (row,) = evaluate_embeddings(
-                emb, graph.labels, graph.n_classes, spec, [seed], probe_config
-            ).rows
+            (row,) = evaluate_embeddings(emb, graph.labels, graph.n_classes, spec, [seed]).rows
             rows.append(AblationRow(mode, seed, row.acc_val, row.acc_test))
             accs_val.append(row.acc_val)
             accs_test.append(row.acc_test)

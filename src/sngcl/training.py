@@ -623,7 +623,9 @@ def _read_tensors(f) -> dict[str, np.ndarray]:
                 f"truncated checkpoint: tensor {name!r} of shape {dims} needs "
                 f"{n_bytes} bytes, {size - f.tell()} left"
             )
-        values = np.frombuffer(_read_exact(f, n_bytes), dtype="<f8").astype(np.float64)
+        values = np.empty(n_bytes // 8, dtype="<f8")
+        if f.readinto(values) != n_bytes:
+            raise CheckpointCorruptionError(f"truncated checkpoint: tensor {name!r} ends early")
         try:
             tensors[name] = values.reshape(dims)
         except ValueError as exc:
@@ -639,6 +641,8 @@ def _take(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
         raise CheckpointCorruptionError(
             f"tensor {name!r} has shape {arr.shape}, the config implies {shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointCorruptionError(f"tensor {name!r} holds NaN or infinite values")
     return arr
 
 

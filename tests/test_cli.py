@@ -227,6 +227,45 @@ def test_checkpoint_with_a_transposed_weight_exits_1(sbm_dir, tmp_path, capsys):
     assert err.startswith("error:") and "'online_encoder/w1' has shape (4, 8)" in err
 
 
+def test_checkpoint_with_a_nan_weight_exits_1(sbm_dir, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
+    model = load_checkpoint(run_dir / "model.ckpt")
+    model.model.online_encoder.weights[0][3, 7] = np.nan
+    save_checkpoint(model, run_dir / "model.ckpt")
+    capsys.readouterr()
+    assert run_command([
+        "eval", "--data", str(sbm_dir), "--checkpoint", str(run_dir / "model.ckpt"),
+        "--train-per-class", "5", "--val-total", "5", "--splits", "1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'online_encoder/w0' holds NaN" in err
+
+
+def test_eval_warns_when_a_probe_does_not_converge(sbm_dir, tmp_path, capsys, monkeypatch):
+    from sngcl import evaluation
+
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
+    evaluate = [
+        "eval", "--data", str(sbm_dir), "--checkpoint", str(run_dir / "model.ckpt"),
+        "--train-per-class", "5", "--val-total", "10", "--splits", "3",
+        "--out", str(tmp_path / "report.txt"),
+    ]
+    capsys.readouterr()
+    assert run_command(evaluate) == 0
+    assert "warning:" not in capsys.readouterr().err
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "probe_unconverged=0" in lines
+    assert int(next(l for l in lines if l.startswith("probe_iterations="))[17:]) > 1
+
+    monkeypatch.setattr(evaluation, "PROBE_MAX_ITERATIONS", 1)
+    assert run_command(evaluate) == 0
+    assert "warning: probe did not converge on 3 of 3 splits" in capsys.readouterr().err
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "probe_iterations=1" in lines and "probe_unconverged=3" in lines
+
+
 def test_config_file_supplies_defaults_but_flags_win(sbm_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

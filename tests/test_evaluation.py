@@ -1,11 +1,18 @@
 """Stratified splits, the linear probe, and the evaluation reports."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sngcl import evaluation
 from sngcl.errors import InputError
 from sngcl.evaluation import (
-    ProbeConfig,
+    PROBE_L2,
+    PROBE_TOLERANCE,
     SplitSpec,
     accuracy,
     evaluate_embeddings,
@@ -118,30 +125,34 @@ def test_probe_is_deterministic():
 
 
 def test_probe_matches_scalar_reference_implementation():
-    # Tiny problem, few steps: compare against a per-sample transcription of
-    # softmax regression with L2 on the weights only.
-    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]])
-    y = np.array([0, 1, 1, 0])
-    cfg = ProbeConfig(lr=0.1, epochs=5, l2=0.01)
+    # Per-sample transcription of softmax regression on standardised
+    # features with L2 on the weights only: at the returned parameters, mapped
+    # back to standardised coordinates, its gradient is within the tolerance
+    # and its objective is the last recorded loss.
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5], [2.0, 3.0]])
+    y = np.array([0, 1, 1, 0, 2])
+    probe = train_probe(x, y, 3)
 
-    w = np.zeros((2, 2))
-    b = np.zeros(2)
-    for _ in range(cfg.epochs):
-        gw = np.zeros_like(w)
-        gb = np.zeros_like(b)
-        for i in range(4):
-            logits = x[i] @ w + b
-            p = np.exp(logits - logits.max())
-            p /= p.sum()
-            p[y[i]] -= 1.0
-            gw += np.outer(x[i], p) / 4
-            gb += p / 4
-        w -= cfg.lr * (gw + cfg.l2 * w)
-        b -= cfg.lr * gb
+    mean = [sum(x[i, j] for i in range(5)) / 5 for j in range(2)]
+    std = [(sum((x[i, j] - mean[j]) ** 2 for i in range(5)) / 5) ** 0.5 for j in range(2)]
+    z = (x - mean) / std
+    w = probe.weights * np.array(std)[:, None]
+    b = probe.bias + np.array(mean) @ probe.weights
+    value = 0.5 * PROBE_L2 * float(np.sum(w * w))
+    gw = PROBE_L2 * w
+    gb = np.zeros(3)
+    for i in range(5):
+        logits = z[i] @ w + b
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        value -= np.log(p[y[i]]) / 5
+        p[y[i]] -= 1.0
+        gw += np.outer(z[i], p) / 5
+        gb += p / 5
 
-    probe = train_probe(x, y, 2, cfg)
-    np.testing.assert_allclose(probe.weights, w, atol=1e-12)
-    np.testing.assert_allclose(probe.bias, b, atol=1e-12)
+    assert probe.converged
+    assert max(np.abs(gw).max(), np.abs(gb).max()) <= PROBE_TOLERANCE
+    assert value == pytest.approx(probe.losses[-1], rel=1e-12)
 
 
 def test_probe_loss_trajectory_is_recorded_and_non_increasing():
@@ -149,7 +160,8 @@ def test_probe_loss_trajectory_is_recorded_and_non_increasing():
     x = rng.standard_normal((50, 6))
     y = rng.integers(0, 4, size=50)  # unlearnable labels still descend smoothly
     probe = train_probe(x, y, 4)
-    assert probe.losses.shape == (301,)
+    assert probe.converged
+    assert len(probe.losses) == probe.iterations + 1
     assert np.all(np.isfinite(probe.losses))
     assert np.all(np.diff(probe.losses) <= 1e-12)
     # from zero init the first value is exactly log(n_classes)
@@ -160,12 +172,45 @@ def test_probe_config_fit_is_bitwise_repeatable():
     # the zero-initialized full-batch fit draws nothing at random
     x = np.eye(4)
     y = np.array([0, 1, 0, 1])
-    cfg = ProbeConfig(lr=0.05, epochs=40, l2=1e-3)
-    a = train_probe(x, y, 2, cfg)
-    b = train_probe(x, y, 2, cfg)
+    a = train_probe(x, y, 2)
+    b = train_probe(x, y, 2)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.bias.tobytes() == b.bias.tobytes()
     assert a.losses.tobytes() == b.losses.tobytes()
+
+
+def test_probe_reports_the_iteration_cap_and_a_failed_line_search_as_not_converged(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((50, 6))
+    y = rng.integers(0, 4, size=50)
+    assert train_probe(x, y, 4).iterations > 1
+    monkeypatch.setattr(evaluation, "PROBE_MAX_ITERATIONS", 1)
+    probe = train_probe(x, y, 4)
+    assert (probe.iterations, probe.converged, len(probe.losses)) == (1, False, 2)
+    report = evaluate_embeddings(x, y, 4, SplitSpec(5, val_total=10), seeds=[0, 1, 2])
+    assert (report.probe_iterations, report.probe_unconverged) == (1, 3)
+    # a line search that finds no descent step also ends the fit unconverged
+    monkeypatch.setattr(evaluation, "_MAX_HALVINGS", 0)
+    probe = train_probe(x, y, 4)
+    assert (probe.iterations, probe.converged, len(probe.losses)) == (0, False, 1)
+
+
+def test_probe_standardises_with_the_training_rows_and_skips_constant_columns():
+    # a scaled, shifted copy of the features gives the same predictions, and
+    # a constant column neither divides by zero nor changes them
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((60, 3)) + np.repeat([0, 1, 2], 20)[:, None]
+    y = np.repeat([0, 1, 2], 20)
+    test = rng.standard_normal((40, 3)) + 1.0
+    want = train_probe(x, y, 3).predict(test)
+    scale, shift = np.array([1e-3, 10.0, 1.0]), np.array([5.0, -3.0, 100.0])
+    np.testing.assert_array_equal(
+        train_probe(x * scale + shift, y, 3).predict(test * scale + shift), want
+    )
+    constant = lambda a: np.hstack([a, np.full((len(a), 1), 7.0)])
+    probe = train_probe(constant(x), y, 3)
+    assert probe.converged and np.all(np.isfinite(probe.weights))
+    np.testing.assert_array_equal(probe.predict(constant(test)), want)
 
 
 def test_probe_input_checks():
@@ -196,13 +241,7 @@ def test_evaluate_embeddings_report_contents():
     assert report.std_test == pytest.approx(tests.std(ddof=1))
     assert not report.degenerate
     assert report.mean_test > 0.9  # trivially separable
-
-    text = report.to_tsv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "seed\tacc_val\tacc_test"
-    assert lines[-2].startswith("mean\t")
-    assert lines[-1].startswith("std\t")
-    assert float(lines[1].split("\t")[2]) == report.rows[0].acc_test
+    assert report.probe_unconverged == 0 and report.probe_iterations >= 1
 
 
 def test_evaluate_embeddings_flags_collapsed_embeddings():
@@ -223,6 +262,12 @@ def test_evaluate_embeddings_single_seed_has_zero_std():
 
 
 def test_evaluate_embeddings_input_checks():
+    labels = np.repeat([0, 1], 10)
+    for bad in (np.nan, np.inf):
+        emb = np.random.default_rng(0).standard_normal((20, 3))
+        emb[4, 1] = bad
+        with pytest.raises(InputError, match="NaN or infinite"):
+            evaluate_embeddings(emb, labels, 2, SplitSpec(2, val_total=2), seeds=[0])
     with pytest.raises(InputError, match="seed"):
         evaluate_embeddings(np.zeros((4, 2)), np.zeros(4, dtype=int), 1,
                             SplitSpec(1, val_total=0), seeds=[])
@@ -255,16 +300,15 @@ def test_run_ablation_rows_are_evaluate_embeddings_of_each_trained_model(sbm_tin
     from sngcl.training import encode, train
 
     config = TrainConfig(epochs=3, encoder_dims=[16, 8, 4], predictor_dims=[4, 6, 4])
-    spec, probe = SplitSpec(5, val_total=10), ProbeConfig(epochs=40)
+    spec = SplitSpec(5, val_total=10)
     report = run_ablation(
-        sbm_tiny, config, train_seeds=[0, 1], spec=spec,
-        view_modes=["local-only"], probe_config=probe,
+        sbm_tiny, config, train_seeds=[0, 1], spec=spec, view_modes=["local-only"],
     )
     row = report.rows[1]
     assert (row.view_mode, row.seed) == ("local-only", 1)
     model = train(sbm_tiny, replace(config, seed=1, view_mode="local-only"))
     (want,) = evaluate_embeddings(
-        encode(model, sbm_tiny), sbm_tiny.labels, sbm_tiny.n_classes, spec, [1], probe
+        encode(model, sbm_tiny), sbm_tiny.labels, sbm_tiny.n_classes, spec, [1]
     ).rows
     assert (row.acc_val, row.acc_test) == (want.acc_val, want.acc_test)
 
@@ -278,3 +322,21 @@ def test_run_ablation_requires_labels_and_seeds(sbm_tiny):
     unlabeled = build_graph([(0, 1)], np.zeros((2, 16)))
     with pytest.raises(InputError, match="labeled"):
         run_ablation(unlabeled, config, train_seeds=[0], spec=SplitSpec(5, val_total=10))
+
+
+def test_evaluation_does_not_import_scipy_optimize():
+    # importing scipy.optimize costs a benchmark-sized process about 27 MB
+    code = (
+        "import sys, numpy as np\n"
+        "import sngcl.cli\n"
+        "from sngcl.evaluation import SplitSpec, evaluate_embeddings\n"
+        "labels = np.repeat([0, 1], 20)\n"
+        "emb = np.random.default_rng(0).standard_normal((40, 3)) + labels[:, None]\n"
+        "evaluate_embeddings(emb, labels, 2, SplitSpec(5, val_total=5), seeds=[0, 1])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(evaluation.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "False"

@@ -610,6 +610,32 @@ def test_checkpoint_rejects_a_tensor_shape_the_config_does_not_imply(tmp_path, s
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("online_encoder/w0", np.nan), ("target_encoder/b1", np.inf), ("history", -np.inf),
+])
+def test_checkpoint_rejects_non_finite_values(tmp_path, sbm_tiny, name, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(train(sbm_tiny, small_config(epochs=2)), path)
+    raw = bytearray(path.read_bytes())
+    (data,) = [data for record, _, data, _ in _records(bytes(raw)) if record == name]
+    raw[data + 8:data + 16] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointCorruptionError, match=f"'{name}' holds NaN or infinite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_short_read_is_corruption(tmp_path, sbm_tiny, monkeypatch):
+    # the file shrinks after its size was read: the last tensor comes up short
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(train(sbm_tiny, small_config(epochs=2)), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])
+    size = os.stat_result((0,) * 6 + (len(raw),) + (0,) * 3)  # st_size is field 6
+    monkeypatch.setattr(training.os, "fstat", lambda fd: size)
+    with pytest.raises(CheckpointCorruptionError, match="'history' ends early"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_faults_raise_only_checkpoint_errors(tmp_path, sbm_tiny):
     """Truncation at every record's start, data offset and end, and seeded
     single-bit flips: each faulty file either loads, and then encodes, or
