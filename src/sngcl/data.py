@@ -1,5 +1,8 @@
 """Dataset I/O: citation-network parsing, a canonical on-disk graph format,
-a stochastic block model generator, and embedding export."""
+a stochastic block model generator, and embedding export.
+
+The canonical dataset files and exported embeddings are tab-separated text,
+read with ``np.loadtxt`` and written with ``np.savetxt``."""
 
 from __future__ import annotations
 
@@ -151,17 +154,14 @@ def save_canonical(graph: Graph, directory) -> None:
         f.write(manifest.encode("utf-8"))
 
     with _replacing(directory / EDGES_NAME) as f:
-        for i, j in zip(upper.row, upper.col):
-            f.write(f"{i}\t{j}\n".encode("utf-8"))
+        np.savetxt(f, np.column_stack([upper.row, upper.col]), fmt="%d", delimiter="\t")
 
     with _replacing(directory / FEATURES_NAME) as f:
-        for row in graph.features:
-            f.write(("\t".join(f"{v:.17g}" for v in row) + "\n").encode("utf-8"))
+        np.savetxt(f, graph.features, fmt="%.17g", delimiter="\t")
 
     labels = graph.labels if graph.labels is not None else np.full(graph.n_nodes, -1)
     with _replacing(directory / LABELS_NAME) as f:
-        for v in labels:
-            f.write(f"{int(v)}\n".encode("utf-8"))
+        np.savetxt(f, labels, fmt="%d")
 
 
 def _manifest_int(kv: dict, key: str, path: Path) -> int:
@@ -171,6 +171,32 @@ def _manifest_int(kv: dict, key: str, path: Path) -> int:
         return int(kv[key])
     except ValueError as exc:
         raise ParseError(f"{path}: {key}={kv[key]!r} is not an integer") from exc
+
+
+def _read_table(
+    path: Path, dtype, rows: int, width: int, width_error: type, expected: str
+) -> np.ndarray:
+    """A tab-separated file as a ``(rows, width)`` array of ``dtype``.
+
+    A value that does not parse is a :class:`ParseError`; rows of another
+    width, or of unequal widths, raise ``width_error`` saying ``expected``;
+    a row count other than ``rows`` is an :class:`IntegrityError`.
+    """
+    if path.stat().st_size == 0:  # np.loadtxt would warn and drop the width
+        table = np.empty((0, width), dtype=dtype)
+    else:
+        try:
+            table = np.loadtxt(path, dtype=dtype, delimiter="\t", comments=None, ndmin=2)
+        except ValueError as exc:
+            # numpy reports a ragged row as "the number of columns changed ..."
+            if "number of columns" not in str(exc):
+                raise ParseError(f"{path}: {exc}") from exc
+            raise width_error(f"{path}: rows of unequal width; expected {expected}") from exc
+    if table.shape[1] != width:
+        raise width_error(f"{path}: {table.shape[1]} columns; expected {expected}")
+    if table.shape[0] != rows:
+        raise IntegrityError(f"{path}: {table.shape[0]} rows, manifest says {rows}")
+    return table
 
 
 def load_canonical(directory) -> Graph:
@@ -193,69 +219,18 @@ def load_canonical(directory) -> Graph:
     n_classes = _manifest_int(kv, "n_classes", manifest_path)
     n_edges = _manifest_int(kv, "n_edges", manifest_path)
 
-    edges_path = directory / EDGES_NAME
-    edges = []
-    with open(edges_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{edges_path}:{lineno}: expected two endpoints")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{edges_path}:{lineno}: non-integer endpoint") from exc
-            if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-                raise IntegrityError(
-                    f"{edges_path}:{lineno}: endpoint outside [0, {n_nodes})"
-                )
-            edges.append((i, j))
-    if len(edges) != n_edges:
-        raise IntegrityError(
-            f"{edges_path}: {len(edges)} edges, manifest says {n_edges}"
-        )
-
-    features_path = directory / FEATURES_NAME
-    feature_rows = []
-    with open(features_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_features:
-                raise IntegrityError(
-                    f"{features_path}:{lineno}: {len(parts)} columns, "
-                    f"manifest says {n_features}"
-                )
-            try:
-                feature_rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise ParseError(f"{features_path}:{lineno}: non-numeric value") from exc
-    if len(feature_rows) != n_nodes:
-        raise IntegrityError(
-            f"{features_path}: {len(feature_rows)} rows, manifest says {n_nodes}"
-        )
-
-    labels_path = directory / LABELS_NAME
-    label_values = []
-    with open(labels_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                label_values.append(int(line))
-            except ValueError as exc:
-                raise ParseError(f"{labels_path}:{lineno}: non-integer label") from exc
-    if len(label_values) != n_nodes:
-        raise IntegrityError(
-            f"{labels_path}: {len(label_values)} labels, manifest says {n_nodes}"
-        )
-
-    labels = np.asarray(label_values, dtype=np.int64)
+    edges = _read_table(
+        directory / EDGES_NAME, np.int64, n_edges, 2, ParseError, "two endpoints per line"
+    )
+    features = _read_table(
+        directory / FEATURES_NAME, np.float64, n_nodes, n_features, IntegrityError,
+        f"{n_features} columns, as the manifest says",
+    )
+    labels = _read_table(
+        directory / LABELS_NAME, np.int64, n_nodes, 1, ParseError, "one label per line"
+    )[:, 0]
     if np.all(labels < 0):
         labels = None
-    features = np.asarray(feature_rows, dtype=np.float64).reshape(n_nodes, n_features)
     try:
         return build_graph(
             edges, features,
@@ -348,9 +323,9 @@ def export_embeddings(path, embeddings: np.ndarray, node_ids=None) -> None:
         raise InputError(
             f"{len(node_ids)} node ids for {embeddings.shape[0]} embedding rows"
         )
+    fmt = ["%.17g"] * embeddings.shape[1]
+    if node_ids is not None:
+        embeddings = np.column_stack([np.asarray(node_ids, dtype=object), embeddings])
+        fmt = ["%s", *fmt]
     with _replacing(path) as f:
-        for r, row in enumerate(embeddings):
-            values = "\t".join(f"{v:.17g}" for v in row)
-            if node_ids is not None:
-                values = f"{node_ids[r]}\t{values}"
-            f.write(f"{values}\n".encode("utf-8"))
+        np.savetxt(f, embeddings, fmt=fmt, delimiter="\t", encoding="utf-8")

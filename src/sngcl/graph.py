@@ -16,15 +16,11 @@ features, :func:`smoothed_operator` goes one step further and never forms
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError
-
-if TYPE_CHECKING:
-    from scipy.sparse.linalg import LinearOperator
 
 RANDOM_WALK = "random-walk"
 SYMMETRIC = "symmetric"
@@ -165,19 +161,49 @@ def smooth_features(graph: Graph, t: int, mode: str) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def smoothed_operator(graph: Graph, t: int, mode: str) -> LinearOperator:
+@dataclass(frozen=True)
+class SmoothedOperator:
     """``H^t X`` as a linear operator that is never formed.
 
     ``op @ W`` computes ``H^t (X W)`` and ``op.T @ G`` computes
-    ``X^T (H^T)^t G``, each from sparse products with ``H`` and a CSR copy
-    of ``X``; they equal ``smooth_features(graph, t, mode) @ W`` and its
-    transpose up to rounding.
+    ``X^T (H^T)^t G``, each from sparse products with ``H`` and the CSR
+    ``X``; they equal ``smooth_features(graph, t, mode) @ W`` and its
+    transpose up to rounding.  It offers what the MLP reads of an input
+    matrix: ``shape``, ``ndim``, ``.T`` and ``@``.
     """
-    # Imported on first use: scipy.sparse.linalg adds about 10 MB to the
-    # resident set, which runs on dense features never need.
-    from scipy.sparse.linalg import aslinearoperator
 
+    h: sp.csr_matrix
+    x: sp.csr_matrix
+    t: int
+    ndim = 2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x.shape
+
+    @property
+    def T(self) -> _TransposedOperator:
+        return _TransposedOperator(self)
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        out = self.x @ w
+        for _ in range(self.t):
+            out = self.h @ out
+        return out
+
+
+@dataclass(frozen=True)
+class _TransposedOperator:
+    op: SmoothedOperator
+
+    def __matmul__(self, g: np.ndarray) -> np.ndarray:
+        for _ in range(self.op.t):
+            g = self.op.h.T @ g
+        return self.op.x.T @ g
+
+
+def smoothed_operator(graph: Graph, t: int, mode: str) -> SmoothedOperator:
+    """The stacked t-layer filter ``H^t X`` as a :class:`SmoothedOperator`."""
     if t < 0:
         raise InputError(f"stacking depth t must be >= 0, got {t}")
-    h = aslinearoperator(propagation_matrix(graph, mode))
-    return h**t * aslinearoperator(sp.csr_matrix(graph.features))
+    return SmoothedOperator(propagation_matrix(graph, mode), sp.csr_matrix(graph.features), t)

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
     InputError,
     TrainingDivergedError,
 )
-from .graph import Graph, RANDOM_WALK, SYMMETRIC, smooth_features, smoothed_operator
+from .graph import Graph, RANDOM_WALK, SYMMETRIC, SmoothedOperator, smooth_features, smoothed_operator
 from .losses import (
     EmbeddingBatch,
     LossConfig,
@@ -59,9 +59,6 @@ from .nn import (
     momentum_update,
 )
 from .rng import stream_rng
-
-if TYPE_CHECKING:
-    from scipy.sparse.linalg import LinearOperator
 
 VIEW_BOTH = "both"
 VIEW_GLOBAL_ONLY = "global-only"
@@ -293,7 +290,7 @@ def _factorises(graph: Graph, t: int) -> bool:
     return SPARSE_COST * sparse < graph.n_nodes * graph.n_features
 
 
-def _view_input(graph: Graph, t: int, mode: str) -> np.ndarray | LinearOperator:
+def _view_input(graph: Graph, t: int, mode: str) -> np.ndarray | SmoothedOperator:
     """One filter's encoder input: ``H^t X`` as a dense matrix, or as an
     operator when the features are sparse enough to factorise."""
     if _factorises(graph, t):
@@ -303,7 +300,7 @@ def _view_input(graph: Graph, t: int, mode: str) -> np.ndarray | LinearOperator:
 
 def resolve_view_inputs(
     graph: Graph, t: int, view_mode: str
-) -> tuple[np.ndarray | LinearOperator, np.ndarray | LinearOperator]:
+) -> tuple[np.ndarray | SmoothedOperator, np.ndarray | SmoothedOperator]:
     """(online input, target input) for a view mode; single-view ablations
     feed the same input to both networks, built once."""
     online_filter, target_filter = _view_filters(view_mode)
@@ -340,8 +337,8 @@ def _epoch_forward(
     online: Mlp,
     predictor: Mlp,
     target: Mlp,
-    online_input: np.ndarray | LinearOperator,
-    target_input: np.ndarray | LinearOperator,
+    online_input: np.ndarray | SmoothedOperator,
+    target_input: np.ndarray | SmoothedOperator,
     plan: EpochPlan,
     config: TrainConfig,
     negatives: list[np.ndarray] | None = None,

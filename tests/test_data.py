@@ -2,6 +2,7 @@
 and embedding export."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,86 @@ def test_canonical_manifest_parse_errors(tmp_path):
     (tmp_path / "ds" / "manifest.txt").write_text("n_nodes=two\n")
     with pytest.raises(ParseError, match="not an integer"):
         load_canonical(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "edges, features, labels",
+    [
+        ([], np.arange(12.0).reshape(4, 3) / 7, np.array([0, 1, 1, 0])),
+        ([(0, 1), (1, 2)], np.array([[0.1], [-2.5], [np.pi]]), np.array([1, 0, -1])),
+        ([(0, 2), (1, 2)], np.pi * np.eye(3), None),
+    ],
+    ids=["edgeless", "one-feature", "all-unlabeled"],
+)
+def test_canonical_roundtrip_edge_cases_are_exact_and_silent(tmp_path, edges, features, labels):
+    g = build_graph(edges, features, labels=labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        save_canonical(g, tmp_path / "ds")
+        loaded = load_canonical(tmp_path / "ds")
+    assert loaded.adjacency.shape == g.adjacency.shape
+    assert (loaded.adjacency != g.adjacency).nnz == 0
+    assert loaded.features.shape == g.features.shape
+    assert loaded.features.tobytes() == g.features.tobytes()
+    if labels is None:
+        assert loaded.labels is None and loaded.n_classes is None
+    else:
+        assert loaded.labels.tobytes() == g.labels.tobytes()
+        assert loaded.n_classes == g.n_classes
+
+
+@pytest.mark.parametrize(
+    "name, text, error, message",
+    [
+        ("features.tsv", "1\t0\n0\tabc\n0\t0\n", ParseError, None),
+        ("edges.tsv", "0\t1\n1\t2.5\n", ParseError, None),
+        ("edges.tsv", "0\t1\n1\t2\t0\n", ParseError, "two endpoints"),
+        ("edges.tsv", "0\t1\t2\n1\t2\t0\n", ParseError, "two endpoints"),
+        ("labels.tsv", "0\nx\n1\n", ParseError, None),
+        ("features.tsv", "1\t0\n0\t1\n", IntegrityError, "2 rows, manifest says 3"),
+        ("features.tsv", "1\n0\n0\n", IntegrityError, "columns"),
+    ],
+    ids=[
+        "non-numeric-feature", "non-integer-endpoint", "three-field-edge-line",
+        "three-field-edge-lines", "non-integer-label", "too-few-feature-rows",
+        "too-narrow-feature-rows",
+    ],
+)
+def test_canonical_malformed_files_keep_their_error_and_name_the_file(
+    tmp_path, name, text, error, message
+):
+    g = build_graph([(0, 1), (1, 2)], np.eye(3)[:, :2], labels=np.array([0, 1, 0]))
+    save_canonical(g, tmp_path / "ds")
+    (tmp_path / "ds" / name).write_text(text)
+    with pytest.raises(error, match=name) as info:
+        load_canonical(tmp_path / "ds")
+    assert message is None or message in str(info.value)
+
+
+def test_canonical_features_are_written_with_seventeen_significant_digits(tmp_path):
+    features = np.array([[np.pi, -0.0, 1e-300], [5e-324, -3 * np.pi, 1e20 * np.pi]])
+    save_canonical(build_graph([(0, 1)], features), tmp_path / "ds")
+    assert (tmp_path / "ds" / "features.tsv").read_text() == (
+        "3.1415926535897931\t-0\t1e-300\n"
+        "4.9406564584124654e-324\t-9.4247779607693793\t3.1415926535897933e+20\n"
+    )
+    assert (tmp_path / "ds" / "edges.tsv").read_text() == "0\t1\n"
+    assert (tmp_path / "ds" / "labels.tsv").read_text() == "-1\n-1\n"
+
+
+def test_export_embeddings_writes_a_pinned_format(tmp_path):
+    emb = np.array([[0.1, -2 / 3], [1e-310, -0.0], [np.pi / 7, 2.5e17]])
+    rows = [
+        "0.10000000000000001\t-0.66666666666666663\n",
+        "9.9999999999999694e-311\t-0\n",
+        "0.44879895051282759\t2.5e+17\n",
+    ]
+    export_embeddings(tmp_path / "plain.tsv", emb)
+    assert (tmp_path / "plain.tsv").read_text() == "".join(rows)
+    export_embeddings(tmp_path / "ids.tsv", emb, node_ids=[0, "n1", "nœud"])
+    assert (tmp_path / "ids.tsv").read_text(encoding="utf-8") == (
+        f"0\t{rows[0]}n1\t{rows[1]}nœud\t{rows[2]}"
+    )
 
 
 def test_generate_sbm_shape_and_labels():

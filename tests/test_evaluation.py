@@ -325,18 +325,25 @@ def test_run_ablation_requires_labels_and_seeds(sbm_tiny):
 
 
 def test_evaluation_does_not_import_scipy_optimize():
-    # importing scipy.optimize costs a benchmark-sized process about 27 MB
+    # importing scipy.optimize costs a benchmark-sized process about 27 MB,
+    # scipy.sparse.linalg about 10 MB
     code = (
         "import sys, numpy as np\n"
         "import sngcl.cli\n"
+        "from conftest import sparse_feature_graph\n"
         "from sngcl.evaluation import SplitSpec, evaluate_embeddings\n"
+        "from sngcl.training import TrainConfig, encode, train\n"
         "labels = np.repeat([0, 1], 20)\n"
         "emb = np.random.default_rng(0).standard_normal((40, 3)) + labels[:, None]\n"
         "evaluate_embeddings(emb, labels, 2, SplitSpec(5, val_total=5), seeds=[0, 1])\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "graph = sparse_feature_graph()\n"
+        "config = TrainConfig(epochs=2, encoder_dims=[200, 3, 2], predictor_dims=[2, 3, 2])\n"
+        "encode(train(graph, config), graph)\n"
+        "print(sorted({'scipy.optimize', 'scipy.sparse.linalg'} & set(sys.modules)))\n"
     )
+    src, tests = Path(evaluation.__file__).parents[1], Path(__file__).parent
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(Path(evaluation.__file__).parents[1])},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

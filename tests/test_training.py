@@ -9,7 +9,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from conftest import numeric_grad, rel_err, sparse_feature_graph
-from scipy.sparse.linalg import LinearOperator
 
 import sngcl.training as training
 from sngcl.errors import (
@@ -20,7 +19,7 @@ from sngcl.errors import (
     InputError,
     TrainingDivergedError,
 )
-from sngcl.graph import Graph
+from sngcl.graph import Graph, SmoothedOperator
 from sngcl.losses import LossConfig, sample_neighbor_indices, total_loss
 from sngcl.nn import init_mlp, mlp_forward
 from sngcl.rng import stream_rng
@@ -319,7 +318,7 @@ def test_cost_rule_reads_sparse_features_as_operators(sbm_tiny, monkeypatch):
     calls.clear()
     for view_mode in training.VIEW_MODES:
         online_in, target_in = resolve_view_inputs(sparse, 3, view_mode)
-        assert isinstance(online_in, LinearOperator) and isinstance(target_in, LinearOperator)
+        assert isinstance(online_in, SmoothedOperator) and isinstance(target_in, SmoothedOperator)
     model = train(sparse, small_config(epochs=2, **SPARSE_SMALL))
     encode(model, sparse, output="concat-both")
     assert calls == []  # the dense H^t X is never formed
@@ -363,7 +362,7 @@ def test_factorised_epoch_matches_the_dense_epoch(view_mode):
         enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan, config)
         results.append((fwd, out, enc_grads.params() + pred_grads.params()))
     (fwd_d, out_d, grads_d), (fwd_o, out_o, grads_o) = results
-    assert isinstance(operators[0], LinearOperator)
+    assert isinstance(operators[0], SmoothedOperator)
     assert rel_err(fwd_o.anchor, fwd_d.anchor) <= 1e-12
     assert rel_err(fwd_o.batch.positive_struct, fwd_d.batch.positive_struct) <= 1e-12
     assert abs(out_o.total - out_d.total) <= 1e-12 * abs(out_d.total)
