@@ -7,6 +7,7 @@ read with ``np.loadtxt`` and written with ``np.savetxt``."""
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -182,16 +183,18 @@ def _read_table(
     width, or of unequal widths, raise ``width_error`` saying ``expected``;
     a row count other than ``rows`` is an :class:`IntegrityError`.
     """
-    if path.stat().st_size == 0:  # np.loadtxt would warn and drop the width
-        table = np.empty((0, width), dtype=dtype)
-    else:
-        try:
+    try:
+        with warnings.catch_warnings():
+            # a file without data, empty or blank lines only, is zero rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(path, dtype=dtype, delimiter="\t", comments=None, ndmin=2)
-        except ValueError as exc:
-            # numpy reports a ragged row as "the number of columns changed ..."
-            if "number of columns" not in str(exc):
-                raise ParseError(f"{path}: {exc}") from exc
-            raise width_error(f"{path}: rows of unequal width; expected {expected}") from exc
+    except ValueError as exc:
+        # numpy reports a ragged row as "the number of columns changed ..."
+        if "number of columns" not in str(exc):
+            raise ParseError(f"{path}: {exc}") from exc
+        raise width_error(f"{path}: rows of unequal width; expected {expected}") from exc
+    if table.shape[0] == 0:  # numpy gives it one column
+        table = table.reshape(0, width)
     if table.shape[1] != width:
         raise width_error(f"{path}: {table.shape[1]} columns; expected {expected}")
     if table.shape[0] != rows:

@@ -113,14 +113,15 @@ def neighbor_operator(idx: np.ndarray) -> sp.csr_matrix:
 
 @dataclass
 class LossOutput:
-    """Combined objective value, its three components, and input gradients."""
+    """Combined objective value, its three components, and the gradients of
+    the anchor and the neighbor positive (the structural positive belongs to
+    the frozen target and takes none)."""
 
     total: float
     l_struct: float
     l_neighbor: float
     l_upper: float
     grad_anchor: np.ndarray
-    grad_positive_struct: np.ndarray
     grad_positive_neighbor: np.ndarray
 
 
@@ -178,21 +179,5 @@ def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
         l_neighbor=l_n,
         l_upper=l_u,
         grad_anchor=g_s + g_n - (2.0 * scale) * neg_term,
-        grad_positive_struct=-g_s,
         grad_positive_neighbor=-g_n,
     )
-
-
-def l2_normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize to unit length; returns (normalized, clamped norms)."""
-    norms = np.sqrt(_row_sq(x))
-    norms = np.maximum(norms, 1e-12)
-    return x / norms[:, None], norms
-
-
-def l2_normalize_backward(
-    normalized: np.ndarray, norms: np.ndarray, d_normalized: np.ndarray
-) -> np.ndarray:
-    """Backprop through row normalization: g -> (g - u (u . g)) / r."""
-    dots = np.einsum("ij,ij->i", normalized, d_normalized)
-    return (d_normalized - normalized * dots[:, None]) / norms[:, None]

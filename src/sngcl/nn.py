@@ -206,11 +206,12 @@ def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:
 class ModelState:
     """Online encoder + predictor (trained by Adam) and the EMA target encoder.
 
-    ``optimizer`` is None for a model read from a checkpoint.
+    ``predictor`` and ``optimizer`` are None for a model read from a
+    checkpoint.
     """
 
     online_encoder: Mlp
-    predictor: Mlp
+    predictor: Mlp | None
     target_encoder: Mlp
     optimizer: AdamState | None = field(repr=False, default=None)
 

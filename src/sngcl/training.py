@@ -42,8 +42,6 @@ from .losses import (
     EmbeddingBatch,
     LossConfig,
     LossOutput,
-    l2_normalize_backward,
-    l2_normalize_rows,
     neighbor_operator,
     sample_neighbor_indices,
     total_loss,
@@ -70,10 +68,6 @@ VIEW_FILTERS = {
     VIEW_LOCAL_ONLY: (SYMMETRIC, SYMMETRIC),
 }
 VIEW_MODES = tuple(VIEW_FILTERS)
-
-ANCHOR_PREDICTOR = "predictor"
-ANCHOR_ENCODER = "encoder"
-ANCHOR_MODES = (ANCHOR_PREDICTOR, ANCHOR_ENCODER)
 
 EMBED_ONLINE_LOCAL = "online-local"
 EMBED_CONCAT_BOTH = "concat-both"
@@ -102,13 +96,6 @@ class TrainConfig:
     view_mode: str = field(default=VIEW_BOTH, metadata={
         "help": "which smoothed views feed the online/target networks",
         "choices": VIEW_MODES,
-    })
-    normalize_embeddings: bool = field(default=False, metadata={
-        "help": "l2-normalize anchor and positive rows before the losses",
-    })
-    anchor_mode: str = field(default=ANCHOR_PREDICTOR, metadata={
-        "help": "take the anchor after the predictor or straight off the encoder",
-        "choices": ANCHOR_MODES,
     })
     encoder_dims: list[int] | None = field(default=None, metadata={
         "help": "encoder layer widths (default: n_features,512,256)",
@@ -139,10 +126,6 @@ class TrainConfig:
         if not 0.0 <= self.momentum <= 1.0:
             raise InputError(f"momentum must lie in [0, 1], got {self.momentum}")
         _view_filters(self.view_mode)
-        if self.anchor_mode not in ANCHOR_MODES:
-            raise InputError(
-                f"unknown anchor mode {self.anchor_mode!r}; known: {ANCHOR_MODES}"
-            )
         if self.encoder_dims is None or self.predictor_dims is None:
             raise InputError("dims must be resolved before validation")
         if self.encoder_dims[0] != n_features:
@@ -327,9 +310,7 @@ class EpochPlan:
 @dataclass
 class _EpochForward:
     cache_enc: object
-    cache_pred: object | None
-    anchor: np.ndarray
-    anchor_norms: np.ndarray | None
+    cache_pred: object
     batch: EmbeddingBatch
 
 
@@ -348,24 +329,12 @@ def _epoch_forward(
     When ``negatives`` is None they are derived from the current anchor via
     ``plan.permutations``; passing them explicitly freezes them, which is how
     the finite-difference suite evaluates the map the analytic gradient
-    differentiates (negatives are constants by design).
+    differentiates (negatives are constants by design).  ``config`` is not
+    read.
     """
     z1, cache_enc = mlp_forward(online, online_input)
-    cache_pred = None
-    if config.anchor_mode == ANCHOR_PREDICTOR:
-        anchor_raw, cache_pred = mlp_forward(predictor, z1)
-    else:
-        anchor_raw = z1
-    z2, _ = mlp_forward(target, target_input)
-
-    anchor_norms = None
-    if config.normalize_embeddings:
-        anchor, anchor_norms = l2_normalize_rows(anchor_raw)
-        positive_struct, _ = l2_normalize_rows(z2)
-    else:
-        anchor = anchor_raw
-        positive_struct = z2
-
+    anchor, cache_pred = mlp_forward(predictor, z1)
+    positive_struct, _ = mlp_forward(target, target_input)
     if negatives is None:
         negatives = [anchor[p] for p in plan.permutations]
     batch = EmbeddingBatch(
@@ -374,13 +343,7 @@ def _epoch_forward(
         positive_neighbor=plan.neighbor_op @ anchor,
         negatives=negatives,
     )
-    return _EpochForward(
-        cache_enc=cache_enc,
-        cache_pred=cache_pred,
-        anchor=anchor,
-        anchor_norms=anchor_norms,
-        batch=batch,
-    )
+    return _EpochForward(cache_enc=cache_enc, cache_pred=cache_pred, batch=batch)
 
 
 def _epoch_backward(
@@ -395,20 +358,11 @@ def _epoch_backward(
 
     The neighbor positive is ``S @ anchor``, so its gradient reaches the
     anchor as ``S.T @ grad``; the structural positive belongs to the frozen
-    target and receives nothing.
+    target and receives nothing.  ``config`` is not read.
     """
     d_anchor = out.grad_anchor + plan.neighbor_op.T @ out.grad_positive_neighbor
-    if config.normalize_embeddings:
-        d_anchor = l2_normalize_backward(fwd.anchor, fwd.anchor_norms, d_anchor)
-    if config.anchor_mode == ANCHOR_PREDICTOR:
-        pred_grads, dz1 = mlp_backward(predictor, fwd.cache_pred, d_anchor)
-        enc_grads, _ = mlp_backward(online, fwd.cache_enc, dz1, need_input_grad=False)
-    else:
-        enc_grads, _ = mlp_backward(online, fwd.cache_enc, d_anchor, need_input_grad=False)
-        pred_grads = Mlp(
-            weights=[np.zeros_like(w) for w in predictor.weights],
-            biases=[np.zeros_like(b) for b in predictor.biases],
-        )
+    pred_grads, dz1 = mlp_backward(predictor, fwd.cache_pred, d_anchor)
+    enc_grads, _ = mlp_backward(online, fwd.cache_enc, dz1, need_input_grad=False)
     return enc_grads, pred_grads
 
 
@@ -451,7 +405,7 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
         )
         # A NaN makes every hinge bracket test False, which would report a
         # loss of 0 instead of failing.
-        checked = (("anchor", fwd.anchor), ("structural positive", fwd.batch.positive_struct))
+        checked = (("anchor", fwd.batch.anchor), ("structural positive", fwd.batch.positive_struct))
         for name, arr in checked:
             if not np.isfinite(arr).all():
                 raise TrainingDivergedError(f"non-finite {name} at epoch {epoch}")
@@ -504,9 +458,11 @@ def encode(model: TrainedModel, graph: Graph, output: str = EMBED_ONLINE_LOCAL) 
 # magic "SNGCL" + version byte, then a u64-length-prefixed UTF-8 metadata
 # block of key=value lines (the config snapshot), then tensor records until
 # EOF: u64 name length, name bytes, u64 rank, u64 dims, float64 LE values.
-# A checkpoint holds the three networks and the loss history, not the
-# optimizer.  The reader takes only the keys and records it needs, so older
-# files that also carry Adam's state (adam_* keys, optimizer/* records) load.
+# A checkpoint holds the online and target encoders and the loss history:
+# the predictor and the optimizer serve training only.  The reader takes
+# only the keys and records it needs, so older files that also carry them
+# (predictor/* and optimizer/* records, adam_* keys, and the retired
+# normalize_embeddings and anchor_mode keys) load.
 
 CHECKPOINT_MAGIC = b"SNGCL"
 CHECKPOINT_VERSION = 1
@@ -537,7 +493,6 @@ def _tensor_items(model: TrainedModel):
     state = model.model
     for prefix, mlp in (
         ("online_encoder", state.online_encoder),
-        ("predictor", state.predictor),
         ("target_encoder", state.target_encoder),
     ):
         for l in range(mlp.n_layers):
@@ -652,8 +607,8 @@ def _mlp_from_tensors(tensors: dict, prefix: str, dims: list[int]) -> Mlp:
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Read a checkpoint; its ``model.optimizer`` is None, as no optimizer
-    state is stored."""
+    """Read a checkpoint; its ``model.predictor`` and ``model.optimizer``
+    are None, as neither is stored."""
     with open(path, "rb") as f:
         head = f.read(6)
         if len(head) < 6 or head[:5] != CHECKPOINT_MAGIC:
@@ -674,7 +629,7 @@ def load_checkpoint(path) -> TrainedModel:
 
     state = ModelState(
         online_encoder=_mlp_from_tensors(tensors, "online_encoder", config.encoder_dims),
-        predictor=_mlp_from_tensors(tensors, "predictor", config.predictor_dims),
+        predictor=None,
         target_encoder=_mlp_from_tensors(tensors, "target_encoder", config.encoder_dims),
     )
     history = _take(tensors, "history", (config.epochs, 5))

@@ -141,8 +141,6 @@ NON_DEFAULT = {
     "momentum": "0.75",
     "seed": "3",
     "view_mode": "global-only",
-    "normalize_embeddings": "1",
-    "anchor_mode": "encoder",
     "encoder_dims": "16,8,4",
     "predictor_dims": "4,6,4",
     "alpha": "0.9",
@@ -313,6 +311,19 @@ def test_config_file_errors(tmp_path, sbm_dir):
     malformed.write_text("epochs\n")
     with pytest.raises(ParseError, match="key=value"):
         read_config_file(malformed)
+
+
+def test_retired_anchor_and_normalization_settings_are_rejected(tmp_path, sbm_dir, capsys):
+    train = ["train", "--data", str(sbm_dir), "--epochs", "1", "--out", str(tmp_path / "m")]
+    assert run_command([*train, "--anchor-mode", "encoder"]) == 2
+    assert run_command([*train, "--normalize-embeddings"]) == 2
+    for key, value in (("anchor_mode", "encoder"), ("normalize_embeddings", "1")):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        capsys.readouterr()
+        assert run_command([*train, "--config", str(cfg)]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_read_config_file_parses_and_strips(tmp_path):

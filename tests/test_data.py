@@ -174,19 +174,24 @@ def test_canonical_manifest_parse_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edges, features, labels",
+    "edges, features, labels, edges_text",
     [
-        ([], np.arange(12.0).reshape(4, 3) / 7, np.array([0, 1, 1, 0])),
-        ([(0, 1), (1, 2)], np.array([[0.1], [-2.5], [np.pi]]), np.array([1, 0, -1])),
-        ([(0, 2), (1, 2)], np.pi * np.eye(3), None),
+        ([], np.arange(12.0).reshape(4, 3) / 7, np.array([0, 1, 1, 0]), None),
+        ([(0, 1), (1, 2)], np.array([[0.1], [-2.5], [np.pi]]), np.array([1, 0, -1]), None),
+        ([(0, 2), (1, 2)], np.pi * np.eye(3), None, None),
+        ([], np.arange(12.0).reshape(4, 3) / 7, np.array([0, 1, 1, 0]), "\n\n"),
     ],
-    ids=["edgeless", "one-feature", "all-unlabeled"],
+    ids=["edgeless", "one-feature", "all-unlabeled", "blank-lines-as-no-edges"],
 )
-def test_canonical_roundtrip_edge_cases_are_exact_and_silent(tmp_path, edges, features, labels):
+def test_canonical_roundtrip_edge_cases_are_exact_and_silent(
+    tmp_path, edges, features, labels, edges_text
+):
     g = build_graph(edges, features, labels=labels)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         save_canonical(g, tmp_path / "ds")
+        if edges_text is not None:
+            (tmp_path / "ds" / "edges.tsv").write_text(edges_text)
         loaded = load_canonical(tmp_path / "ds")
     assert loaded.adjacency.shape == g.adjacency.shape
     assert (loaded.adjacency != g.adjacency).nnz == 0

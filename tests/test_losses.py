@@ -9,8 +9,6 @@ from sngcl.graph import build_graph
 from sngcl.losses import (
     EmbeddingBatch,
     LossConfig,
-    l2_normalize_backward,
-    l2_normalize_rows,
     neighbor_operator,
     sample_neighbor_indices,
     total_loss,
@@ -123,9 +121,11 @@ def test_triplet_gradients_match_finite_differences():
 
         out = loss()
         assert out.l_upper == 0.0
-        d_positive = out.grad_positive_struct if term == "l_struct" else out.grad_positive_neighbor
         np.testing.assert_allclose(out.grad_anchor, numeric_grad(f, anchor), rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(d_positive, numeric_grad(f, positive), rtol=1e-6, atol=1e-9)
+        if term == "l_neighbor":
+            np.testing.assert_allclose(
+                out.grad_positive_neighbor, numeric_grad(f, positive), rtol=1e-6, atol=1e-9
+            )
 
 
 def test_upper_bound_gradients_match_finite_differences():
@@ -136,9 +136,6 @@ def test_upper_bound_gradients_match_finite_differences():
 
     out = loss_of(anchor, positive, negatives, 0.3, 0.2, omega1=0.0, omega2=0.0)
     np.testing.assert_allclose(out.grad_anchor, numeric_grad(f, anchor), rtol=1e-6, atol=1e-9)
-    np.testing.assert_allclose(
-        out.grad_positive_struct, numeric_grad(f, positive), rtol=1e-6, atol=1e-9
-    )
 
 
 def test_total_loss_gradients_match_finite_differences():
@@ -155,7 +152,6 @@ def test_total_loss_gradients_match_finite_differences():
     assert min(out.l_struct, out.l_neighbor, out.l_upper) > 0.0  # every term is live
     for got, x in [
         (out.grad_anchor, anchor),
-        (out.grad_positive_struct, pos_s),
         (out.grad_positive_neighbor, pos_n),
     ]:
         np.testing.assert_allclose(got, numeric_grad(f, x), rtol=1e-6, atol=1e-9)
@@ -175,7 +171,7 @@ def test_inactive_hinges_give_zero_loss_and_gradient():
     for case in cases:
         out = loss_of(*case)
         assert (out.total, out.l_struct, out.l_neighbor, out.l_upper) == (0.0, 0.0, 0.0, 0.0)
-        for grad in (out.grad_anchor, out.grad_positive_struct, out.grad_positive_neighbor):
+        for grad in (out.grad_anchor, out.grad_positive_neighbor):
             assert np.all(grad == 0.0)
 
 
@@ -250,7 +246,7 @@ def test_shuffle_negatives_are_row_permutations_of_the_anchor(sbm_tiny):
             permutations=[shuffle.permutation(sbm_tiny.n_nodes) for _ in range(4)],
         )
         fwd = _epoch_forward(online, predictor, online, x, x, plan, config)
-        return fwd.anchor, fwd.batch.negatives
+        return fwd.batch.anchor, fwd.batch.negatives
 
     anchor, negs = negatives()
     assert len(negs) == 4
@@ -313,25 +309,3 @@ def test_neighbor_mean_backward_is_the_exact_adjoint():
     rhs = float((anchor * (s.T @ g_out)).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
-
-def test_l2_normalize_rows_and_backward():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((5, 4)) * 3.0
-    normalized, norms = l2_normalize_rows(x)
-    np.testing.assert_allclose(np.linalg.norm(normalized, axis=1), 1.0, atol=1e-12)
-    np.testing.assert_allclose(norms, np.linalg.norm(x, axis=1), atol=1e-12)
-
-    c = rng.standard_normal((5, 4))
-
-    def f():
-        return float((l2_normalize_rows(x)[0] * c).sum())
-
-    got = l2_normalize_backward(normalized, norms, c)
-    np.testing.assert_allclose(got, numeric_grad(f, x), rtol=1e-6, atol=1e-9)
-
-
-def test_l2_normalize_rows_clamps_zero_rows():
-    x = np.zeros((2, 3))
-    normalized, norms = l2_normalize_rows(x)
-    assert np.all(np.isfinite(normalized))
-    assert np.all(norms >= 1e-12)

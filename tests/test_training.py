@@ -170,61 +170,6 @@ def test_target_never_moves_at_momentum_one(sbm_tiny):
     )
 
 
-def test_predictor_stays_at_init_in_encoder_anchor_mode(sbm_tiny):
-    config = small_config(epochs=5, anchor_mode="encoder")
-    model = train(sbm_tiny, config)
-    rng = stream_rng(0, "init")
-    init_mlp(SMALL["encoder_dims"], rng)  # consume the encoder draw
-    fresh_predictor = init_mlp(SMALL["predictor_dims"], rng)
-    for a, b in zip(fresh_predictor.params(), model.model.predictor.params()):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_epoch_gradients_with_normalization_match_finite_differences(sbm_tiny):
-    # End-to-end check of the row-normalized variant through encoder,
-    # predictor, neighbor mean and both hinges.
-    config = TrainConfig(
-        t=2, encoder_dims=[16, 7, 4], predictor_dims=[4, 6, 4],
-        normalize_embeddings=True, loss=LossConfig(k=3, n_neighbors=2),
-    ).resolved(16)
-    online_in, target_in = resolve_view_inputs(sbm_tiny, config.t, config.view_mode)
-    rng = stream_rng(3, "init")
-    online = init_mlp(config.encoder_dims, rng)
-    predictor = init_mlp(config.predictor_dims, rng)
-    target = init_mlp(config.encoder_dims, stream_rng(4, "init"))
-    # Bias the ReLUs open: at the zero-bias init some rows die entirely and
-    # row normalization is not differentiable at a zero row.
-    for mlp in (online, predictor, target):
-        for b in mlp.biases:
-            b += 0.2
-    plan = EpochPlan(
-        neighbor_idx=sample_neighbor_indices(sbm_tiny, 2, stream_rng(0, "neighbor")),
-        permutations=[
-            stream_rng(0, "shuffle").permutation(sbm_tiny.n_nodes) for _ in range(3)
-        ],
-    )
-    fwd = _epoch_forward(online, predictor, target, online_in, target_in, plan, config)
-    assert fwd.anchor_norms.min() > 1e-2  # away from the clamped regime
-    frozen = [neg.copy() for neg in fwd.batch.negatives]
-    out = total_loss(fwd.batch, config.loss)
-    enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan, config)
-
-    def loss_value():
-        f = _epoch_forward(
-            online, predictor, target, online_in, target_in, plan, config,
-            negatives=frozen,
-        )
-        return total_loss(f.batch, config.loss).total
-
-    for got, param in [
-        (enc_grads.weights[0], online.weights[0]),
-        (enc_grads.biases[1], online.biases[1]),
-        (pred_grads.weights[1], predictor.weights[1]),
-    ]:
-        fd = numeric_grad(loss_value, param, eps=1e-6)
-        np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-8)
-
-
 def test_dimension_mismatches_fail_before_training(sbm_tiny):
     with pytest.raises(InputError, match="feature width"):
         train(sbm_tiny, TrainConfig(encoder_dims=[9, 4, 2], epochs=1))
@@ -363,7 +308,7 @@ def test_factorised_epoch_matches_the_dense_epoch(view_mode):
         results.append((fwd, out, enc_grads.params() + pred_grads.params()))
     (fwd_d, out_d, grads_d), (fwd_o, out_o, grads_o) = results
     assert isinstance(operators[0], SmoothedOperator)
-    assert rel_err(fwd_o.anchor, fwd_d.anchor) <= 1e-12
+    assert rel_err(fwd_o.batch.anchor, fwd_d.batch.anchor) <= 1e-12
     assert rel_err(fwd_o.batch.positive_struct, fwd_d.batch.positive_struct) <= 1e-12
     assert abs(out_o.total - out_d.total) <= 1e-12 * abs(out_d.total)
     for got, want in zip(grads_o, grads_d):
@@ -422,8 +367,9 @@ def test_factorised_encode_survives_the_checkpoint_round_trip(tmp_path, output):
 
 # The metadata block of a format-1 checkpoint for TrainConfig().resolved(16),
 # as the writer produced it before the hyperparameter table existed.  Key
-# order, float reprs and 0/1 booleans are part of the format.  The trailing
-# adam_* keys are no longer written, and the reader ignores them.
+# order, float reprs and 0/1 booleans are part of the format.  The retired
+# normalize_embeddings and anchor_mode keys and the trailing adam_* keys are
+# no longer written, and the reader ignores them.
 V1_DEFAULT_METADATA = (
     "t=3\nepochs=500\nlr=0.001\nmomentum=0.8\nseed=0\nview_mode=both\n"
     "normalize_embeddings=0\nanchor_mode=predictor\nencoder_dims=16,512,256\n"
@@ -431,20 +377,20 @@ V1_DEFAULT_METADATA = (
     "omega1=1.0\nomega2=1.0\nadam_beta1=0.9\nadam_beta2=0.999\nadam_eps=1e-08\n"
 )
 ADAM_LINES = "adam_beta1=0.9\nadam_beta2=0.999\nadam_eps=1e-08\n"
+RETIRED_LINES = "normalize_embeddings=0\nanchor_mode=predictor\n"
 
 
 def test_checkpoint_metadata_keeps_the_version_1_text():
     config = TrainConfig().resolved(16)
     text = training._config_to_lines(config)
-    assert "adam_" not in text
-    assert text + ADAM_LINES == V1_DEFAULT_METADATA
+    assert text + ADAM_LINES == V1_DEFAULT_METADATA.replace(RETIRED_LINES, "")
     assert training._config_from_lines(V1_DEFAULT_METADATA) == config
     assert training._config_from_lines(text) == config
 
 
 def test_hyperparameter_table_covers_both_configs_once():
     names = [h.name for h in training.HYPERPARAMETERS]
-    assert len(names) == len(set(names)) == 16
+    assert len(names) == len(set(names)) == 14
     assert set(names) == (
         {f.name for f in fields(TrainConfig)} - {"loss"} | {f.name for f in fields(LossConfig)}
     )
@@ -482,9 +428,9 @@ def test_checkpoint_roundtrip_preserves_everything(tmp_path, sbm_tiny):
         assert a.tobytes() == b.tobytes()
     for a, b in zip(model.model.target_encoder.params(), loaded.model.target_encoder.params()):
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(model.model.predictor.params(), loaded.model.predictor.params()):
-        assert a.tobytes() == b.tobytes()
-    # the optimizer is not stored: a loaded model cannot resume training
+    # the predictor and the optimizer are not stored: a loaded model cannot
+    # resume training
+    assert loaded.model.predictor is None
     assert loaded.model.optimizer is None
 
 
@@ -562,24 +508,34 @@ def test_checkpoint_holds_the_networks_and_the_history_only(tmp_path, sbm_tiny):
     raw = path.read_bytes()
     assert [name for name, *_ in _records(raw)] == [
         f"{net}/{kind}{l}"
-        for net in ("online_encoder", "predictor", "target_encoder")
+        for net in ("online_encoder", "target_encoder")
         for l in range(2)
         for kind in ("w", "b")
     ] + ["history"]
     (meta_len,) = struct.unpack_from("<Q", raw, 6)
-    assert b"adam_" not in raw[14:14 + meta_len]
+    for key in (b"adam_", b"normalize_embeddings", b"anchor_mode"):
+        assert key not in raw[14:14 + meta_len]
 
 
 def test_checkpoint_with_optimizer_state_still_loads(tmp_path, sbm_tiny):
-    """Files from the writer that also stored Adam's state (adam_* keys and
-    optimizer/* records before the history) load to the same model."""
+    """Files from the writers that also stored the predictor, Adam's state
+    and the normalize_embeddings and anchor_mode keys load to the same
+    encoders."""
     model = train(sbm_tiny, small_config(epochs=2))
-    opt = model.model.optimizer
-    items = [item for item in training._tensor_items(model) if item[0] != "history"]
+    state, opt = model.model, model.model.optimizer
+    items = []
+    for net in ("online_encoder", "predictor", "target_encoder"):
+        mlp = getattr(state, net)
+        for l in range(mlp.n_layers):
+            items += [(f"{net}/w{l}", mlp.weights[l]), (f"{net}/b{l}", mlp.biases[l])]
     items += [(f"optimizer/m1/{i}", m) for i, m in enumerate(opt.m1)]
     items += [(f"optimizer/m2/{i}", m) for i, m in enumerate(opt.m2)]
     items += [("optimizer/step", np.array([float(opt.step)])), ("history", model.history)]
-    meta = (training._config_to_lines(model.config) + ADAM_LINES).encode("utf-8")
+    meta = training._config_to_lines(model.config).replace(
+        "\nencoder_dims=", "\nnormalize_embeddings=1\nanchor_mode=encoder\nencoder_dims="
+    )
+    assert "anchor_mode=encoder" in meta
+    meta = (meta + ADAM_LINES).encode("utf-8")
     old = tmp_path / "old.ckpt"
     with open(old, "wb") as f:
         f.write(b"SNGCL\x01" + struct.pack("<Q", len(meta)) + meta)
@@ -589,7 +545,10 @@ def test_checkpoint_with_optimizer_state_still_loads(tmp_path, sbm_tiny):
     loaded = load_checkpoint(old)
     assert loaded.config == model.config
     assert loaded.history.tobytes() == model.history.tobytes()
-    assert loaded.model.optimizer is None
+    assert loaded.model.predictor is None and loaded.model.optimizer is None
+    for net in ("online_encoder", "target_encoder"):
+        for a, b in zip(getattr(state, net).params(), getattr(loaded.model, net).params()):
+            assert a.tobytes() == b.tobytes()
     for output in ("online-local", "concat-both"):
         assert encode(loaded, sbm_tiny, output).tobytes() == (
             encode(model, sbm_tiny, output).tobytes()
