@@ -29,12 +29,13 @@ from .data import (
     save_canonical,
 )
 from .errors import InputError, ParseError, SngclError
-from .evaluation import SplitSpec, evaluate_embeddings, run_ablation
+from .evaluation import EvalReport, SplitSpec, evaluate_embeddings, run_ablation
 from .graph import RANDOM_WALK, SYMMETRIC, smooth_features
 from .training import (
     EMBED_MODES,
     EMBED_ONLINE_LOCAL,
     HYPERPARAMETERS,
+    TrainConfig,
     _config_to_lines,
     _replacing,
     config_from_values,
@@ -73,39 +74,21 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _flags_given(argv) -> set[str]:
-    """Names of the table rows set on the command line.
-
-    argparse takes a flag in full or as any unambiguous prefix, and the parse
-    has already rejected the ambiguous ones, so a token names the flag it
-    equals, or else the one flag it is a prefix of.
-    """
-    flags = {_flag(h.name): h.name for h in HYPERPARAMETERS}
-    given = set()
-    for token in argv:
-        opt = token.partition("=")[0]
-        if opt in flags:
-            given.add(flags[opt])
-        elif opt.startswith("--") and len(opt) > 2:
-            given.update(name for flag, name in flags.items() if flag.startswith(opt))
-    return given
-
-
-def _apply_config_file(args, argv) -> None:
-    """Fill hyperparameters from ``--config``; flags on the command line win."""
-    if args.config is None:
-        return
-    table = {h.name: h for h in HYPERPARAMETERS}
-    given = _flags_given(argv)
-    for key, raw in read_config_file(args.config).items():
-        if key not in table:
-            raise ParseError(f"{args.config}: unknown config key {key!r}")
-        if key in given:
-            continue
-        try:
-            setattr(args, key, table[key].parse(raw))
-        except ValueError as exc:
-            raise ParseError(f"{args.config}: {key}: {exc}") from exc
+def _train_config(args) -> TrainConfig:
+    """The table defaults, overlaid by the ``--config`` file, overlaid by the
+    flags given (absent flags set no attribute)."""
+    values = {}
+    if args.config is not None:
+        table = {h.name: h for h in HYPERPARAMETERS}
+        for key, raw in read_config_file(args.config).items():
+            if key not in table:
+                raise ParseError(f"{args.config}: unknown config key {key!r}")
+            try:
+                values[key] = table[key].parse(raw)
+            except ValueError as exc:
+                raise ParseError(f"{args.config}: {key}: {exc}") from exc
+    values.update(vars(args))
+    return config_from_values(values)
 
 
 def _split_spec(args) -> SplitSpec:
@@ -141,7 +124,19 @@ def _emit(record: RunRecord, path) -> None:
             f.write(record.to_text().encode("utf-8"))
 
 
-def cmd_gen_sbm(args, argv) -> int:
+def _warn(report: EvalReport, prefix: str = "") -> None:
+    """Print the report's degenerate and unconverged warnings to stderr."""
+    if report.degenerate:
+        print(f"warning: {prefix}embeddings have zero variance in every column", file=sys.stderr)
+    if report.probe_unconverged:
+        print(
+            f"warning: {prefix}probe did not converge on {report.probe_unconverged} "
+            f"of {len(report.rows)} splits",
+            file=sys.stderr,
+        )
+
+
+def cmd_gen_sbm(args) -> int:
     graph = generate_sbm(config_from_values(vars(args), SbmConfig))
     save_canonical(graph, args.out)
     print(
@@ -151,7 +146,7 @@ def cmd_gen_sbm(args, argv) -> int:
     return 0
 
 
-def cmd_preprocess(args, argv) -> int:
+def cmd_preprocess(args) -> int:
     result = load_planetoid(args.content, args.cites, row_normalize=not args.raw_features)
     save_canonical(result.graph, args.out)
     g = result.graph
@@ -172,12 +167,12 @@ def cmd_preprocess(args, argv) -> int:
     return 0
 
 
-def cmd_train(args, argv) -> int:
-    _apply_config_file(args, argv)
+def cmd_train(args) -> int:
+    config = _train_config(args)
     t0 = time.perf_counter()
     graph = load_canonical(args.data)
     t_load = time.perf_counter()
-    model = train(graph, config_from_values(vars(args)))
+    model = train(graph, config)
     t_train = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,7 +195,7 @@ def cmd_train(args, argv) -> int:
     return 0
 
 
-def cmd_eval(args, argv) -> int:
+def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     graph = load_canonical(args.data)
     if graph.labels is None:
@@ -213,11 +208,7 @@ def cmd_eval(args, argv) -> int:
     spec = _split_spec(args)
     report = evaluate_embeddings(emb, graph.labels, graph.n_classes, spec, seeds)
     t_probe = time.perf_counter()
-    if report.degenerate:
-        print("warning: embeddings have zero variance in every column", file=sys.stderr)
-    if report.probe_unconverged:
-        n = report.probe_unconverged
-        print(f"warning: probe did not converge on {n} of {len(seeds)} splits", file=sys.stderr)
+    _warn(report)
 
     metadata = {
         "command": "eval",
@@ -267,7 +258,7 @@ def cmd_eval(args, argv) -> int:
     return 0
 
 
-def cmd_embed(args, argv) -> int:
+def cmd_embed(args) -> int:
     graph = load_canonical(args.data)
     model = load_checkpoint(args.checkpoint)
     emb = encode(model, graph, args.embedding)
@@ -277,26 +268,22 @@ def cmd_embed(args, argv) -> int:
     return 0
 
 
-def cmd_ablate(args, argv) -> int:
-    _apply_config_file(args, argv)
+def cmd_ablate(args) -> int:
+    config = _train_config(args)
     t0 = time.perf_counter()
     graph = load_canonical(args.data)
     spec = _split_spec(args)
-    report = run_ablation(
-        graph,
-        config_from_values(vars(args)),
-        args.train_seeds,
-        spec,
-        embed_output=args.embedding,
-    )
+    report = run_ablation(graph, config, args.train_seeds, spec, embed_output=args.embedding)
+    for mode, r in report.reports.items():
+        _warn(r, f"{mode}: ")
     record = RunRecord(
         metadata={
             "command": "ablate",
             "data": args.data,
             "train_seeds": ",".join(str(s) for s in args.train_seeds),
             "train_per_class": spec.train_per_class,
-            "epochs": args.epochs,
-            "t": args.t,
+            "epochs": config.epochs,
+            "t": config.t,
             "total_s": f"{time.perf_counter() - t0:.3f}",
         },
         sections=[
@@ -304,24 +291,25 @@ def cmd_ablate(args, argv) -> int:
                 "results",
                 "view_mode\tseed\tacc_val\tacc_test",
                 [
-                    (r.view_mode, r.seed, f"{r.acc_val:.17g}", f"{r.acc_test:.17g}")
-                    for r in report.rows
+                    (mode, row.seed, f"{row.acc_val:.17g}", f"{row.acc_test:.17g}")
+                    for mode, r in report.reports.items()
+                    for row in r.rows
                 ],
             ),
             (
                 "summary",
                 "view_mode\tmean_val\tmean_test\tstd_test",
                 [
-                    (s.view_mode, f"{s.mean_val:.17g}", f"{s.mean_test:.17g}", f"{s.std_test:.17g}")
-                    for s in report.summaries
+                    (mode, f"{r.mean_val:.17g}", f"{r.mean_test:.17g}", f"{r.std_test:.17g}")
+                    for mode, r in report.reports.items()
                 ],
             ),
         ],
     )
     _emit(record, args.out)
     if args.out is not None:
-        for s in report.summaries:
-            print(f"{s.view_mode}: test accuracy {s.mean_test:.4f} +/- {s.std_test:.4f}")
+        for mode, r in report.reports.items():
+            print(f"{mode}: test accuracy {r.mean_test:.4f} +/- {r.std_test:.4f}")
         print(f"ablation report -> {args.out}")
     return 0
 
@@ -331,14 +319,11 @@ def _hyper_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("model hyperparameters")
     for h in HYPERPARAMETERS:
-        flag = _flag(h.name)
-        if h.kind is bool:
-            g.add_argument(flag, action="store_true", default=h.default, help=h.help)
-        else:
-            g.add_argument(
-                flag, type=h.parse, default=h.default, choices=h.choices,
-                metavar=h.metavar, help=h.help,
-            )
+        # only a flag given sets its attribute, so it wins over --config
+        g.add_argument(
+            _flag(h.name), type=h.parse, default=argparse.SUPPRESS, choices=h.choices,
+            metavar=h.metavar, help=f"{h.help} (default: {h.default})",
+        )
     g.add_argument(
         "--config", type=Path, default=None, metavar="PATH",
         help="key=value file supplying hyperparameter defaults; flags win",
@@ -349,11 +334,12 @@ def _hyper_parser() -> argparse.ArgumentParser:
 def _add_split_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("evaluation split")
     g.add_argument("--train-per-class", type=int, default=20, help="training nodes per class")
-    g.add_argument(
+    val = g.add_mutually_exclusive_group()
+    val.add_argument(
         "--val-total", type=int, default=None,
         help="validation nodes overall (default 500 unless --val-per-class is set)",
     )
-    g.add_argument(
+    val.add_argument(
         "--val-per-class", type=int, default=None,
         help="validation nodes per class instead of a flat total",
     )
@@ -473,7 +459,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args, list(argv))
+        return args.func(args)
     except SngclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -230,16 +230,27 @@ def evaluate_embeddings(
         raise InputError("need at least one evaluation seed")
     degenerate = bool(np.all(embeddings.std(axis=0) < 1e-12))
 
-    rows, probes = [], []
+    parts = []
     for seed in seeds:
         split = make_split(labels, n_classes, spec, stream_rng(seed, "split"))
         probe = train_probe(embeddings[split.train_idx], labels[split.train_idx], n_classes)
-        probes.append(probe)
-        rows.append(EvalRow(
+        row = EvalRow(
             seed=seed,
             acc_val=accuracy(probe.predict(embeddings[split.val_idx]), labels[split.val_idx]),
             acc_test=accuracy(probe.predict(embeddings[split.test_idx]), labels[split.test_idx]),
+        )
+        parts.append(EvalReport(
+            [row], row.acc_val, 0.0, row.acc_test, 0.0,
+            degenerate, probe.iterations, int(not probe.converged),
         ))
+    return _pool(parts)
+
+
+def _pool(parts: list[EvalReport]) -> EvalReport:
+    """One report over the rows of ``parts``: the means and sample stds of
+    their accuracies, the most probe iterations, the unconverged count, and
+    whether any part's embeddings were degenerate."""
+    rows = [row for part in parts for row in part.rows]
     vals = np.array([r.acc_val for r in rows])
     tests = np.array([r.acc_test for r in rows])
     std = lambda a: float(a.std(ddof=1)) if a.size > 1 else 0.0
@@ -249,43 +260,26 @@ def evaluate_embeddings(
         std_val=std(vals),
         mean_test=float(tests.mean()),
         std_test=std(tests),
-        degenerate=degenerate,
-        probe_iterations=max(p.iterations for p in probes),
-        probe_unconverged=sum(not p.converged for p in probes),
+        degenerate=any(part.degenerate for part in parts),
+        probe_iterations=max(part.probe_iterations for part in parts),
+        probe_unconverged=sum(part.probe_unconverged for part in parts),
     )
 
 
 @dataclass
-class AblationRow:
-    view_mode: str
-    seed: int
-    acc_val: float
-    acc_test: float
-
-
-@dataclass
-class AblationSummary:
-    view_mode: str
-    mean_val: float
-    mean_test: float
-    std_test: float
-
-
-@dataclass
 class AblationReport:
-    rows: list[AblationRow]
-    summaries: list[AblationSummary]
+    """One report per view mode, each with one row per training seed."""
+
+    reports: dict[str, EvalReport]
 
     def mean_test(self, view_mode: str) -> float:
-        for s in self.summaries:
-            if s.view_mode == view_mode:
-                return s.mean_test
-        raise InputError(f"no ablation summary for view mode {view_mode!r}")
+        if view_mode not in self.reports:
+            raise InputError(f"no ablation report for view mode {view_mode!r}")
+        return self.reports[view_mode].mean_test
 
 
 def run_ablation(
-    graph, base_config, train_seeds, spec: SplitSpec, view_modes=None,
-    embed_output: str | None = None,
+    graph, base_config, train_seeds, spec: SplitSpec, embed_output: str | None = None,
 ) -> AblationReport:
     """Train and probe once per (view mode, seed) pair.
 
@@ -297,29 +291,17 @@ def run_ablation(
 
     if graph.labels is None:
         raise InputError("ablation needs a labeled graph")
-    view_modes = list(view_modes) if view_modes is not None else list(VIEW_MODES)
     embed_output = embed_output or EMBED_ONLINE_LOCAL
     train_seeds = list(train_seeds)
     if not train_seeds:
         raise InputError("need at least one training seed")
 
-    rows, summaries = [], []
-    for mode in view_modes:
-        accs_val, accs_test = [], []
+    reports = {}
+    for mode in VIEW_MODES:
+        parts = []
         for seed in train_seeds:
             model = train(graph, replace(base_config, seed=seed, view_mode=mode))
             emb = encode(model, graph, embed_output)
-            (row,) = evaluate_embeddings(emb, graph.labels, graph.n_classes, spec, [seed]).rows
-            rows.append(AblationRow(mode, seed, row.acc_val, row.acc_test))
-            accs_val.append(row.acc_val)
-            accs_test.append(row.acc_test)
-        tests = np.array(accs_test)
-        summaries.append(
-            AblationSummary(
-                view_mode=mode,
-                mean_val=float(np.mean(accs_val)),
-                mean_test=float(tests.mean()),
-                std_test=float(tests.std(ddof=1)) if tests.size > 1 else 0.0,
-            )
-        )
-    return AblationReport(rows=rows, summaries=summaries)
+            parts.append(evaluate_embeddings(emb, graph.labels, graph.n_classes, spec, [seed]))
+        reports[mode] = _pool(parts)
+    return AblationReport(reports)

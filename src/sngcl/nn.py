@@ -26,10 +26,6 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def dims(self) -> list[int]:
-        return [w.shape[0] for w in self.weights] + [self.weights[-1].shape[1]]
-
     def copy(self) -> "Mlp":
         return Mlp(
             weights=[w.copy() for w in self.weights],

@@ -19,13 +19,10 @@ STREAMS = {
 }
 
 
-def stream_rng(seed: int, stream: str, index: int = 0) -> np.random.Generator:
-    """Generator for one named substream of ``seed``.
-
-    ``index`` separates repeated uses of the same stream, e.g. one split
-    stream per evaluation repeat.
-    """
+def stream_rng(seed: int, stream: str) -> np.random.Generator:
+    """Generator for one named substream of ``seed``."""
     if stream not in STREAMS:
         raise InputError(f"unknown rng stream {stream!r}; known: {sorted(STREAMS)}")
-    ss = np.random.SeedSequence(seed, spawn_key=(STREAMS[stream], index))
+    # the trailing 0 is part of every stream's key; dropping it changes every run
+    ss = np.random.SeedSequence(seed, spawn_key=(STREAMS[stream], 0))
     return np.random.default_rng(ss)

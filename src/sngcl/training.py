@@ -148,29 +148,22 @@ class TrainConfig:
 
 
 def int_list(text: str) -> list[int]:
-    """Parse comma-separated integers such as ``16,512,256``."""
+    """Parse comma-separated integers such as ``16,512,256``; at least one."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    return values
 
 
 # field annotation -> (parse text, format value).  The formats are those of
-# checkpoint format version 1: ``repr`` for floats and 0/1 for booleans.
+# checkpoint format version 1, such as ``repr`` for floats.
 _CODECS = {
     int: (int, str),
     float: (float, repr),
     str: (str, str),
-    bool: (_parse_bool, lambda v: str(int(v))),
     list[int] | None: (int_list, lambda v: ",".join(str(d) for d in v)),
 }
 
@@ -180,7 +173,6 @@ class Hyperparameter:
     """One row of the hyperparameter table, read off a config field."""
 
     name: str
-    kind: object  # the field's annotation
     default: object
     help: str
     choices: tuple | None
@@ -199,7 +191,7 @@ def _table(cls) -> list[Hyperparameter]:
             continue
         parse, fmt = _CODECS[kind]
         rows.append(Hyperparameter(
-            name=f.name, kind=kind, default=f.default, help=f.metadata["help"],
+            name=f.name, default=f.default, help=f.metadata["help"],
             choices=f.metadata.get("choices"), metavar=f.metadata.get("metavar"),
             parse=parse, format=fmt,
         ))

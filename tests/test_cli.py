@@ -113,6 +113,15 @@ def test_usage_errors_exit_2(capsys):
     assert run_command(["no-such-command"]) == 2
     assert run_command(["train"]) == 2  # missing --data/--out
     assert run_command(["gen-sbm", "--out", "x", "--p-in", "lots"]) == 2
+    # the two validation sizes exclude each other
+    both_sizes = ["--val-total", "3", "--val-per-class", "2"]
+    assert run_command(["eval", "--data", "d", "--checkpoint", "c", *both_sizes]) == 2
+    assert run_command(["ablate", "--data", "d", *both_sizes]) == 2
+    # an empty integer list is no list
+    assert run_command(["train", "--data", "d", "--out", "o", "--encoder-dims", ""]) == 2
+    assert run_command(["train", "--data", "d", "--out", "o", "--predictor-dims", ","]) == 2
+    assert run_command(["eval", "--data", "d", "--checkpoint", "c", "--seeds", ""]) == 2
+    assert run_command(["ablate", "--data", "d", "--train-seeds", ""]) == 2
 
 
 def test_help_exits_0_and_shows_defaults(capsys):
@@ -160,9 +169,7 @@ def test_every_hyperparameter_reaches_the_record_and_the_checkpoint(
     if source == "flags":
         args = []
         for h in HYPERPARAMETERS:
-            args.append("--" + h.name.replace("_", "-"))
-            if h.kind is not bool:
-                args.append(NON_DEFAULT[h.name])
+            args += ["--" + h.name.replace("_", "-"), NON_DEFAULT[h.name]]
     else:
         cfg = tmp_path / "all.cfg"
         cfg.write_text("".join(f"{k}={v}\n" for k, v in NON_DEFAULT.items()))
@@ -326,6 +333,18 @@ def test_retired_anchor_and_normalization_settings_are_rejected(tmp_path, sbm_di
     assert not (tmp_path / "m").exists()
 
 
+def test_an_empty_dims_list_in_the_config_file_is_rejected(tmp_path, sbm_dir, capsys):
+    # an empty list must not stand for the default widths
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("epochs=1\nencoder_dims=\n")
+    assert run_command([
+        "train", "--data", str(sbm_dir), "--config", str(cfg), "--out", str(tmp_path / "m"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "encoder_dims: expected comma-separated integers" in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_read_config_file_parses_and_strips(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("  t = 4 \n\n# comment\nview_mode=global-only\n")
@@ -380,6 +399,33 @@ def test_ablate_reports_all_view_modes(sbm_dir, tmp_path):
     assert len(results) == 1 + 3  # header + rows
 
 
+def test_ablate_prints_the_eval_warnings_per_view_mode(
+    sbm_dir, tmp_path, capsys, monkeypatch
+):
+    from sngcl import evaluation
+
+    ablate = [
+        "ablate", "--data", str(sbm_dir), *TRAIN_FAST,
+        "--train-seeds", "0,1", "--train-per-class", "5", "--val-total", "10",
+        "--out", str(tmp_path / "ablation.txt"),
+    ]
+    assert run_command(ablate) == 0
+    assert "warning:" not in capsys.readouterr().err
+    monkeypatch.setattr(evaluation, "PROBE_MAX_ITERATIONS", 1)
+    assert run_command(ablate) == 0
+    err = capsys.readouterr().err
+    for mode in ("both", "global-only", "local-only"):
+        assert f"warning: {mode}: probe did not converge on 2 of 2 splits" in err
+
+    from sngcl import training
+
+    monkeypatch.setattr(training, "encode", lambda model, graph, mode: np.ones((40, 4)))
+    assert run_command(ablate) == 0
+    err = capsys.readouterr().err
+    for mode in ("both", "global-only", "local-only"):
+        assert f"warning: {mode}: embeddings have zero variance in every column" in err
+
+
 class _DiskFullFile:
     """A file whose first write stores half its bytes and then fails."""
 
@@ -413,7 +459,7 @@ def _write_views(tmp_path, version):
         "--out", str(tmp_path / "toy"), "--views-out", str(tmp_path / "out"),
     ]
     args = build_parser().parse_args(argv)
-    args.func(args, argv)  # run_command would turn the OSError into exit 1
+    args.func(args)  # run_command would turn the OSError into exit 1
 
 
 def _write_record(tmp_path, version):

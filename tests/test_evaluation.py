@@ -282,14 +282,14 @@ def test_run_ablation_covers_all_modes_and_seeds(sbm_tiny):
         sbm_tiny, config, train_seeds=[0, 1],
         spec=SplitSpec(5, val_total=10),
     )
-    assert len(report.rows) == 6
-    modes = [s.view_mode for s in report.summaries]
-    assert modes == ["both", "global-only", "local-only"]
-    for summary in report.summaries:
-        seeds = [r.seed for r in report.rows if r.view_mode == summary.view_mode]
-        assert seeds == [0, 1]
-        assert 0.0 <= summary.mean_test <= 1.0
-    assert report.mean_test("both") == report.summaries[0].mean_test
+    assert list(report.reports) == ["both", "global-only", "local-only"]
+    for mode, r in report.reports.items():
+        assert [row.seed for row in r.rows] == [0, 1]
+        assert r.mean_test == np.mean([row.acc_test for row in r.rows])
+        assert r.std_test == np.std([row.acc_test for row in r.rows], ddof=1)
+        assert 0.0 <= r.mean_test <= 1.0
+        assert r.probe_unconverged == 0 and not r.degenerate
+    assert report.mean_test("both") == report.reports["both"].mean_test
     with pytest.raises(InputError):
         report.mean_test("sideways")
 
@@ -301,11 +301,9 @@ def test_run_ablation_rows_are_evaluate_embeddings_of_each_trained_model(sbm_tin
 
     config = TrainConfig(epochs=3, encoder_dims=[16, 8, 4], predictor_dims=[4, 6, 4])
     spec = SplitSpec(5, val_total=10)
-    report = run_ablation(
-        sbm_tiny, config, train_seeds=[0, 1], spec=spec, view_modes=["local-only"],
-    )
-    row = report.rows[1]
-    assert (row.view_mode, row.seed) == ("local-only", 1)
+    report = run_ablation(sbm_tiny, config, train_seeds=[0, 1], spec=spec)
+    row = report.reports["local-only"].rows[1]
+    assert row.seed == 1
     model = train(sbm_tiny, replace(config, seed=1, view_mode="local-only"))
     (want,) = evaluate_embeddings(
         encode(model, sbm_tiny), sbm_tiny.labels, sbm_tiny.n_classes, spec, [1]

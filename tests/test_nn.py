@@ -28,7 +28,7 @@ def test_init_mlp_glorot_bounds_and_zero_biases():
         assert np.abs(w).max() <= bound
     for b in mlp.biases:
         assert np.all(b == 0.0)
-    assert mlp.dims == [20, 10, 4]
+    assert [w.shape for w in mlp.weights] == [(20, 10), (10, 4)]
 
 
 def test_init_mlp_is_deterministic_per_stream():
