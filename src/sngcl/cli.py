@@ -14,7 +14,7 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -39,6 +39,7 @@ from .training import (
     _config_to_lines,
     _replacing,
     config_from_values,
+    config_values,
     encode,
     int_list,
     load_checkpoint,
@@ -76,10 +77,11 @@ def _flag(name: str) -> str:
 
 def _train_config(args) -> TrainConfig:
     """The table defaults, overlaid by the ``--config`` file, overlaid by the
-    flags given (absent flags set no attribute)."""
+    flags given (absent flags set no attribute).  The file may set only the
+    command's own hyperparameters, ``args.hyperparameters``."""
     values = {}
     if args.config is not None:
-        table = {h.name: h for h in HYPERPARAMETERS}
+        table = {h.name: h for h in args.hyperparameters}
         for key, raw in read_config_file(args.config).items():
             if key not in table:
                 raise ParseError(f"{args.config}: unknown config key {key!r}")
@@ -91,37 +93,19 @@ def _train_config(args) -> TrainConfig:
     return config_from_values(values)
 
 
-def _split_spec(args) -> SplitSpec:
-    if args.val_per_class is not None:
-        return SplitSpec(args.train_per_class, val_per_class=args.val_per_class)
-    val_total = args.val_total if args.val_total is not None else 500
-    return SplitSpec(args.train_per_class, val_total=val_total)
-
-
-@dataclass
-class RunRecord:
-    """A run's settings (key=value lines) plus named TSV sections."""
-
-    metadata: dict
-    sections: list  # (name, header, rows)
-
-    def to_text(self) -> str:
-        lines = [f"{k}={v}" for k, v in self.metadata.items()]
-        for name, header, rows in self.sections:
-            lines.append("")
-            lines.append(f"[{name}]")
-            lines.append(header)
-            for row in rows:
-                lines.append("\t".join(str(c) for c in row))
-        return "\n".join(lines) + "\n"
-
-
-def _emit(record: RunRecord, path) -> None:
+def _emit(metadata: list[str], sections: list, path) -> None:
+    """Write a run record: the ``key=value`` lines of ``metadata``, then each
+    ``(name, header, rows)`` section as TSV, to ``path`` or else stdout."""
+    lines = list(metadata)
+    for name, header, rows in sections:
+        lines += ["", f"[{name}]", header]
+        lines += ["\t".join(str(c) for c in row) for row in rows]
+    text = "\n".join(lines) + "\n"
     if path is None:
-        sys.stdout.write(record.to_text())
+        sys.stdout.write(text)
     else:
         with _replacing(path) as f:
-            f.write(record.to_text().encode("utf-8"))
+            f.write(text.encode("utf-8"))
 
 
 def _warn(report: EvalReport, prefix: str = "") -> None:
@@ -180,15 +164,17 @@ def cmd_train(args) -> int:
     write_history(out / HISTORY_NAME, model.history)
     t_save = time.perf_counter()
 
-    metadata = {"command": "train", "data": args.data, "out": str(out)}
-    for line in _config_to_lines(model.config).splitlines():
-        key, _, value = line.partition("=")
-        metadata[key] = value
-    metadata["load_s"] = f"{t_load - t0:.3f}"
-    metadata["train_s"] = f"{t_train - t_load:.3f}"
-    metadata["save_s"] = f"{t_save - t_train:.3f}"
-    metadata["total_s"] = f"{t_save - t0:.3f}"
-    _emit(RunRecord(metadata=metadata, sections=[]), out / RECORD_NAME)
+    metadata = [
+        "command=train",
+        f"data={args.data}",
+        f"out={out}",
+        *_config_to_lines(model.config).splitlines(),
+        f"load_s={t_load - t0:.3f}",
+        f"train_s={t_train - t_load:.3f}",
+        f"save_s={t_save - t_train:.3f}",
+        f"total_s={t_save - t0:.3f}",
+    ]
+    _emit(metadata, [], out / RECORD_NAME)
 
     last = model.history[-1]
     print(f"trained {int(last[0])} epochs, final loss {last[1]:.6g} -> {out / CHECKPOINT_NAME}")
@@ -204,52 +190,46 @@ def cmd_eval(args) -> int:
     t_load = time.perf_counter()
     emb = encode(model, graph, args.embedding)
     t_encode = time.perf_counter()
-    seeds = args.seeds if args.seeds is not None else list(range(args.splits))
-    spec = _split_spec(args)
+    seeds = range(args.splits)
+    spec = SplitSpec(args.train_per_class, args.val_total)
     report = evaluate_embeddings(emb, graph.labels, graph.n_classes, spec, seeds)
     t_probe = time.perf_counter()
     _warn(report)
 
-    metadata = {
-        "command": "eval",
-        "data": args.data,
-        "checkpoint": args.checkpoint,
-        "embedding": args.embedding,
-        "train_per_class": spec.train_per_class,
-        "seeds": ",".join(str(s) for s in seeds),
-        "degenerate": int(report.degenerate),
-        "probe_iterations": report.probe_iterations,
-        "probe_unconverged": report.probe_unconverged,
-    }
-    if spec.val_total is not None:
-        metadata["val_total"] = spec.val_total
-    else:
-        metadata["val_per_class"] = spec.val_per_class
-    metadata["load_s"] = f"{t_load - t0:.3f}"
-    metadata["encode_s"] = f"{t_encode - t_load:.3f}"
-    metadata["probe_s"] = f"{t_probe - t_encode:.3f}"
-    metadata["total_s"] = f"{t_probe - t0:.3f}"
-    record = RunRecord(
-        metadata=metadata,
-        sections=[
-            (
-                "results",
-                "seed\tacc_val\tacc_test",
-                [(r.seed, f"{r.acc_val:.17g}", f"{r.acc_test:.17g}") for r in report.rows],
-            ),
-            (
-                "summary",
-                "metric\tvalue",
-                [
-                    ("mean_val", f"{report.mean_val:.17g}"),
-                    ("std_val", f"{report.std_val:.17g}"),
-                    ("mean_test", f"{report.mean_test:.17g}"),
-                    ("std_test", f"{report.std_test:.17g}"),
-                ],
-            ),
-        ],
-    )
-    _emit(record, args.out)
+    metadata = [
+        "command=eval",
+        f"data={args.data}",
+        f"checkpoint={args.checkpoint}",
+        f"embedding={args.embedding}",
+        f"train_per_class={spec.train_per_class}",
+        "seeds=" + ",".join(str(s) for s in seeds),
+        f"degenerate={int(report.degenerate)}",
+        f"probe_iterations={report.probe_iterations}",
+        f"probe_unconverged={report.probe_unconverged}",
+        f"val_total={spec.val_total}",
+        f"load_s={t_load - t0:.3f}",
+        f"encode_s={t_encode - t_load:.3f}",
+        f"probe_s={t_probe - t_encode:.3f}",
+        f"total_s={t_probe - t0:.3f}",
+    ]
+    sections = [
+        (
+            "results",
+            "seed\tacc_val\tacc_test",
+            [(r.seed, f"{r.acc_val:.17g}", f"{r.acc_test:.17g}") for r in report.rows],
+        ),
+        (
+            "summary",
+            "metric\tvalue",
+            [
+                ("mean_val", f"{report.mean_val:.17g}"),
+                ("std_val", f"{report.std_val:.17g}"),
+                ("mean_test", f"{report.mean_test:.17g}"),
+                ("std_test", f"{report.std_test:.17g}"),
+            ],
+        ),
+    ]
+    _emit(metadata, sections, args.out)
     if args.out is not None:
         print(
             f"test accuracy {report.mean_test:.4f} +/- {report.std_test:.4f} "
@@ -272,41 +252,41 @@ def cmd_ablate(args) -> int:
     config = _train_config(args)
     t0 = time.perf_counter()
     graph = load_canonical(args.data)
-    spec = _split_spec(args)
+    spec = SplitSpec(args.train_per_class, args.val_total)
     report = run_ablation(graph, config, args.train_seeds, spec, embed_output=args.embedding)
     for mode, r in report.reports.items():
         _warn(r, f"{mode}: ")
-    record = RunRecord(
-        metadata={
-            "command": "ablate",
-            "data": args.data,
-            "train_seeds": ",".join(str(s) for s in args.train_seeds),
-            "train_per_class": spec.train_per_class,
-            "epochs": config.epochs,
-            "t": config.t,
-            "total_s": f"{time.perf_counter() - t0:.3f}",
-        },
-        sections=[
-            (
-                "results",
-                "view_mode\tseed\tacc_val\tacc_test",
-                [
-                    (mode, row.seed, f"{row.acc_val:.17g}", f"{row.acc_test:.17g}")
-                    for mode, r in report.reports.items()
-                    for row in r.rows
-                ],
-            ),
-            (
-                "summary",
-                "view_mode\tmean_val\tmean_test\tstd_test",
-                [
-                    (mode, f"{r.mean_val:.17g}", f"{r.mean_test:.17g}", f"{r.std_test:.17g}")
-                    for mode, r in report.reports.items()
-                ],
-            ),
-        ],
-    )
-    _emit(record, args.out)
+    values = config_values(config.resolved(graph.n_features))
+    metadata = [
+        "command=ablate",
+        f"data={args.data}",
+        "train_seeds=" + ",".join(str(s) for s in args.train_seeds),
+        *(f"{h.name}={h.format(values[h.name])}" for h in args.hyperparameters),
+        f"train_per_class={spec.train_per_class}",
+        f"val_total={spec.val_total}",
+        f"embedding={args.embedding}",
+        f"total_s={time.perf_counter() - t0:.3f}",
+    ]
+    sections = [
+        (
+            "results",
+            "view_mode\tseed\tacc_val\tacc_test",
+            [
+                (mode, row.seed, f"{row.acc_val:.17g}", f"{row.acc_test:.17g}")
+                for mode, r in report.reports.items()
+                for row in r.rows
+            ],
+        ),
+        (
+            "summary",
+            "view_mode\tmean_val\tmean_test\tstd_test",
+            [
+                (mode, f"{r.mean_val:.17g}", f"{r.mean_test:.17g}", f"{r.std_test:.17g}")
+                for mode, r in report.reports.items()
+            ],
+        ),
+    ]
+    _emit(metadata, sections, args.out)
     if args.out is not None:
         for mode, r in report.reports.items():
             print(f"{mode}: test accuracy {r.mean_test:.4f} +/- {r.std_test:.4f}")
@@ -314,11 +294,13 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _hyper_parser() -> argparse.ArgumentParser:
-    """One flag per row of the hyperparameter table, plus ``--config``."""
+def _hyper_parser(rows) -> argparse.ArgumentParser:
+    """One flag per given row of the hyperparameter table, plus ``--config``;
+    the rows become the default of ``args.hyperparameters``."""
     p = argparse.ArgumentParser(add_help=False)
+    p.set_defaults(hyperparameters=rows)
     g = p.add_argument_group("model hyperparameters")
-    for h in HYPERPARAMETERS:
+    for h in rows:
         # only a flag given sets its attribute, so it wins over --config
         g.add_argument(
             _flag(h.name), type=h.parse, default=argparse.SUPPRESS, choices=h.choices,
@@ -334,14 +316,8 @@ def _hyper_parser() -> argparse.ArgumentParser:
 def _add_split_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("evaluation split")
     g.add_argument("--train-per-class", type=int, default=20, help="training nodes per class")
-    val = g.add_mutually_exclusive_group()
-    val.add_argument(
-        "--val-total", type=int, default=None,
-        help="validation nodes overall (default 500 unless --val-per-class is set)",
-    )
-    val.add_argument(
-        "--val-per-class", type=int, default=None,
-        help="validation nodes per class instead of a flat total",
+    g.add_argument(
+        "--val-total", type=int, default=SplitSpec.val_total, help="validation nodes overall",
     )
 
 
@@ -352,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised node embeddings from smoothed graph views.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    hyper = _hyper_parser()
 
     p = sub.add_parser(
         "gen-sbm", formatter_class=fmt,
@@ -387,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser(
-        "train", parents=[hyper], formatter_class=fmt,
+        "train", parents=[_hyper_parser(HYPERPARAMETERS)], formatter_class=fmt,
         help="train on a canonical dataset and write a run directory",
     )
     p.add_argument("--data", required=True, metavar="DIR", help="canonical dataset directory")
@@ -412,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--splits", type=int, default=10,
         help="evaluate over split seeds 0..N-1",
     )
-    p.add_argument(
-        "--seeds", type=int_list, default=None, metavar="S0,S1,...",
-        help="explicit split seeds (overrides --splits)",
-    )
     p.add_argument("--out", default=None, metavar="PATH", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
@@ -430,8 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_embed)
 
+    # ablate trains every view mode on every --train-seeds seed
+    ablated = [h for h in HYPERPARAMETERS if h.name not in ("seed", "view_mode")]
     p = sub.add_parser(
-        "ablate", parents=[hyper], formatter_class=fmt,
+        "ablate", parents=[_hyper_parser(ablated)], formatter_class=fmt,
         help="compare view modes: train and probe each over several seeds",
     )
     p.add_argument("--data", required=True, metavar="DIR")

@@ -18,23 +18,19 @@ from .rng import stream_rng
 @dataclass
 class SplitSpec:
     """Stratified split sizes: ``train_per_class`` nodes per class for
-    training, then either ``val_total`` nodes overall or ``val_per_class``
-    nodes per class for validation; every remaining labeled node is test."""
+    training, then ``val_total`` nodes overall for validation; every
+    remaining labeled node is test."""
 
     train_per_class: int
-    val_total: int | None = None
-    val_per_class: int | None = None
+    val_total: int = 500
 
     def __post_init__(self):
         if self.train_per_class < 1:
             raise InputError(
                 f"train_per_class must be >= 1, got {self.train_per_class}"
             )
-        if (self.val_total is None) == (self.val_per_class is None):
-            raise InputError("set exactly one of val_total / val_per_class")
-        val = self.val_total if self.val_total is not None else self.val_per_class
-        if val < 0:
-            raise InputError(f"validation size must be >= 0, got {val}")
+        if self.val_total < 0:
+            raise InputError(f"val_total must be >= 0, got {self.val_total}")
 
 
 @dataclass
@@ -44,46 +40,36 @@ class Split:
     test_idx: np.ndarray
 
 
-def _first_per_class(nodes, labels: np.ndarray, n_classes: int, k: int):
-    """The first ``k`` nodes of each class in the order given, and the rest."""
-    taken = np.zeros(n_classes, dtype=np.int64)
-    first, rest = [], []
-    for i in nodes:
-        full = taken[labels[i]] >= k
-        taken[labels[i]] += not full
-        (rest if full else first).append(i)
-    return first, rest
-
-
 def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Split:
     """Draw a stratified split over the labeled nodes.
 
     Nodes are visited in one random order; the first ``train_per_class`` seen
-    of each class form the training set, validation is filled next, and the
-    rest are test.  Unlabeled nodes (label -1) never appear in any part.
+    of each class form the training set, the next ``val_total`` of the rest
+    are validation, and the remainder are test.  Unlabeled nodes (label -1)
+    never appear in any part.
     """
     labels = np.asarray(labels)
     labeled = np.flatnonzero(labels >= 0)
     counts = np.bincount(labels[labeled], minlength=n_classes)
-    need = spec.train_per_class + (spec.val_per_class or 0)
     for c in range(n_classes):
-        if counts[c] < need:
+        if counts[c] < spec.train_per_class:
             raise InputError(
                 f"class {c} has {counts[c]} labeled nodes, "
-                f"fewer than the {need} the split needs"
+                f"fewer than the {spec.train_per_class} the split needs"
             )
 
-    order = labeled[rng.permutation(labeled.size)]
-    train, rest = _first_per_class(order, labels, n_classes, spec.train_per_class)
-    if spec.val_total is not None:
-        if len(rest) < spec.val_total:
-            raise InputError(
-                f"only {len(rest)} labeled nodes remain after training "
-                f"selection, fewer than val_total={spec.val_total}"
-            )
-        val, test = rest[: spec.val_total], rest[spec.val_total:]
-    else:
-        val, test = _first_per_class(rest, labels, n_classes, spec.val_per_class)
+    taken = np.zeros(n_classes, dtype=np.int64)
+    train, rest = [], []
+    for i in labeled[rng.permutation(labeled.size)]:
+        full = taken[labels[i]] >= spec.train_per_class
+        taken[labels[i]] += not full
+        (rest if full else train).append(i)
+    if len(rest) < spec.val_total:
+        raise InputError(
+            f"only {len(rest)} labeled nodes remain after training "
+            f"selection, fewer than val_total={spec.val_total}"
+        )
+    val, test = rest[: spec.val_total], rest[spec.val_total:]
 
     return Split(
         train_idx=np.sort(np.asarray(train, dtype=np.int64)),
@@ -189,26 +175,54 @@ def accuracy(predicted: np.ndarray, expected: np.ndarray) -> float:
     return float(np.mean(predicted == expected))
 
 
+def _std(values) -> float:
+    """Sample std (``ddof=1``); 0.0 for a single value."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
 @dataclass
 class EvalRow:
+    """One split's probe: its accuracies, iterations and convergence."""
+
     seed: int
     acc_val: float
     acc_test: float
+    probe_iterations: int
+    probe_converged: bool
 
 
 @dataclass
 class EvalReport:
-    """Per-seed probe accuracies plus their mean and sample std, the most
-    iterations any split's probe took and how many did not converge."""
+    """Per-seed probe rows; the summaries are read off them: the means and
+    sample stds of the accuracies, the most iterations any split's probe
+    took and how many did not converge."""
 
     rows: list[EvalRow]
-    mean_val: float
-    std_val: float
-    mean_test: float
-    std_test: float
     degenerate: bool = False
-    probe_iterations: int = 0
-    probe_unconverged: int = 0
+
+    @property
+    def mean_val(self) -> float:
+        return float(np.mean([r.acc_val for r in self.rows]))
+
+    @property
+    def std_val(self) -> float:
+        return _std([r.acc_val for r in self.rows])
+
+    @property
+    def mean_test(self) -> float:
+        return float(np.mean([r.acc_test for r in self.rows]))
+
+    @property
+    def std_test(self) -> float:
+        return _std([r.acc_test for r in self.rows])
+
+    @property
+    def probe_iterations(self) -> int:
+        return max(r.probe_iterations for r in self.rows)
+
+    @property
+    def probe_unconverged(self) -> int:
+        return sum(not r.probe_converged for r in self.rows)
 
 
 def evaluate_embeddings(
@@ -228,42 +242,19 @@ def evaluate_embeddings(
     seeds = list(seeds)
     if not seeds:
         raise InputError("need at least one evaluation seed")
-    degenerate = bool(np.all(embeddings.std(axis=0) < 1e-12))
 
-    parts = []
+    rows = []
     for seed in seeds:
         split = make_split(labels, n_classes, spec, stream_rng(seed, "split"))
         probe = train_probe(embeddings[split.train_idx], labels[split.train_idx], n_classes)
-        row = EvalRow(
+        rows.append(EvalRow(
             seed=seed,
             acc_val=accuracy(probe.predict(embeddings[split.val_idx]), labels[split.val_idx]),
             acc_test=accuracy(probe.predict(embeddings[split.test_idx]), labels[split.test_idx]),
-        )
-        parts.append(EvalReport(
-            [row], row.acc_val, 0.0, row.acc_test, 0.0,
-            degenerate, probe.iterations, int(not probe.converged),
+            probe_iterations=probe.iterations,
+            probe_converged=probe.converged,
         ))
-    return _pool(parts)
-
-
-def _pool(parts: list[EvalReport]) -> EvalReport:
-    """One report over the rows of ``parts``: the means and sample stds of
-    their accuracies, the most probe iterations, the unconverged count, and
-    whether any part's embeddings were degenerate."""
-    rows = [row for part in parts for row in part.rows]
-    vals = np.array([r.acc_val for r in rows])
-    tests = np.array([r.acc_test for r in rows])
-    std = lambda a: float(a.std(ddof=1)) if a.size > 1 else 0.0
-    return EvalReport(
-        rows=rows,
-        mean_val=float(vals.mean()),
-        std_val=std(vals),
-        mean_test=float(tests.mean()),
-        std_test=std(tests),
-        degenerate=any(part.degenerate for part in parts),
-        probe_iterations=max(part.probe_iterations for part in parts),
-        probe_unconverged=sum(part.probe_unconverged for part in parts),
-    )
+    return EvalReport(rows, degenerate=bool(np.all(embeddings.std(axis=0) < 1e-12)))
 
 
 @dataclass
@@ -285,7 +276,8 @@ def run_ablation(
 
     The seed drives initialization, sampling and the evaluation split, so
     the split draw is paired across view modes and their means compare on
-    identical splits.
+    identical splits.  Every seed's split is drawn before any training, so
+    a split the labels cannot fill fails at once.
     """
     from .training import EMBED_ONLINE_LOCAL, VIEW_MODES, encode, train
 
@@ -295,13 +287,17 @@ def run_ablation(
     train_seeds = list(train_seeds)
     if not train_seeds:
         raise InputError("need at least one training seed")
+    for seed in train_seeds:
+        make_split(graph.labels, graph.n_classes, spec, stream_rng(seed, "split"))
 
     reports = {}
     for mode in VIEW_MODES:
-        parts = []
+        rows, degenerate = [], False
         for seed in train_seeds:
             model = train(graph, replace(base_config, seed=seed, view_mode=mode))
             emb = encode(model, graph, embed_output)
-            parts.append(evaluate_embeddings(emb, graph.labels, graph.n_classes, spec, [seed]))
-        reports[mode] = _pool(parts)
+            report = evaluate_embeddings(emb, graph.labels, graph.n_classes, spec, [seed])
+            rows += report.rows
+            degenerate |= report.degenerate
+        reports[mode] = EvalReport(rows, degenerate)
     return AblationReport(reports)

@@ -44,14 +44,15 @@ class LossConfig:
     omega2: float = field(default=1.0, metadata={"help": "neighbor-loss weight"})
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise InputError("alpha and beta must be >= 0")
+        # written so that NaN fails too: it would switch every hinge off
+        for name in ("alpha", "beta", "omega1", "omega2"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise InputError(f"{name} must be finite and >= 0, got {value}")
         if self.k < 1:
             raise InputError(f"need at least one negative, got k={self.k}")
         if self.n_neighbors < 1:
             raise InputError(f"need at least one neighbor sample, got {self.n_neighbors}")
-        if self.omega1 < 0 or self.omega2 < 0:
-            raise InputError("omega1 and omega2 must be >= 0")
 
 
 @dataclass

@@ -123,6 +123,8 @@ class TrainConfig:
             raise InputError(f"t must be >= 0, got {self.t}")
         if self.epochs < 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0 <= self.lr < math.inf:  # NaN fails too
+            raise InputError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.momentum <= 1.0:
             raise InputError(f"momentum must lie in [0, 1], got {self.momentum}")
         _view_filters(self.view_mode)

@@ -75,7 +75,7 @@ def test_full_pipeline_train_eval_embed(sbm_dir, tmp_path, capsys):
     report = tmp_path / "report.txt"
     assert run_command([
         "eval", "--data", str(sbm_dir), "--checkpoint", str(ckpt),
-        "--train-per-class", "5", "--val-total", "10", "--seeds", "0,1",
+        "--train-per-class", "5", "--val-total", "10", "--splits", "2",
         "--out", str(report),
     ]) == 0
     text = report.read_text()
@@ -113,14 +113,9 @@ def test_usage_errors_exit_2(capsys):
     assert run_command(["no-such-command"]) == 2
     assert run_command(["train"]) == 2  # missing --data/--out
     assert run_command(["gen-sbm", "--out", "x", "--p-in", "lots"]) == 2
-    # the two validation sizes exclude each other
-    both_sizes = ["--val-total", "3", "--val-per-class", "2"]
-    assert run_command(["eval", "--data", "d", "--checkpoint", "c", *both_sizes]) == 2
-    assert run_command(["ablate", "--data", "d", *both_sizes]) == 2
     # an empty integer list is no list
     assert run_command(["train", "--data", "d", "--out", "o", "--encoder-dims", ""]) == 2
     assert run_command(["train", "--data", "d", "--out", "o", "--predictor-dims", ","]) == 2
-    assert run_command(["eval", "--data", "d", "--checkpoint", "c", "--seeds", ""]) == 2
     assert run_command(["ablate", "--data", "d", "--train-seeds", ""]) == 2
 
 
@@ -132,11 +127,17 @@ def test_help_exits_0_and_shows_defaults(capsys):
     assert "--config" in out
 
 
+# ablate trains each view mode on each --train-seeds seed, so it takes neither
+ABLATE_SETS = ("seed", "view_mode")
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_help_shows_every_hyperparameter_with_its_dataclass_default(command, capsys):
     assert run_command([command, "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
     for h in HYPERPARAMETERS:
+        if command == "ablate" and h.name in ABLATE_SETS:
+            continue
         assert "--" + h.name.replace("_", "-") in out
         assert f"{h.help} (default: {h.default})" in out
 
@@ -183,6 +184,54 @@ def test_every_hyperparameter_reaches_the_record_and_the_checkpoint(
         assert f"{h.name}={NON_DEFAULT[h.name]}" in record
         assert values[h.name] == h.parse(NON_DEFAULT[h.name])
         assert values[h.name] != h.default
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_every_ablate_hyperparameter_reaches_the_ablate_record(source, sbm_dir, tmp_path):
+    given = {k: v for k, v in NON_DEFAULT.items() if k not in ABLATE_SETS}
+    if source == "flags":
+        args = [a for k, v in given.items() for a in ("--" + k.replace("_", "-"), v)]
+    else:
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in given.items()))
+        args = ["--config", str(cfg)]
+    out = tmp_path / "ablation.txt"
+    assert run_command([
+        "ablate", "--data", str(sbm_dir), *args, "--train-seeds", "0,2",
+        "--train-per-class", "5", "--val-total", "10", "--embedding", "concat-both",
+        "--out", str(out),
+    ]) == 0
+    record = out.read_text().split("[results]")[0].splitlines()
+    for k, v in given.items():
+        assert f"{k}={v}" in record
+    for line in ("train_seeds=0,2", "train_per_class=5", "val_total=10", "embedding=concat-both"):
+        assert line in record
+    assert not [line for line in record if line.startswith(("seed=", "view_mode="))]
+
+
+def test_ablate_rejects_the_seed_and_view_mode_it_sets_itself(sbm_dir, tmp_path, capsys):
+    ablate = ["ablate", "--data", str(sbm_dir), "--out", str(tmp_path / "a.txt")]
+    assert run_command([*ablate, "--seed", "7"]) == 2
+    assert run_command([*ablate, "--view-mode", "local-only"]) == 2
+    for key, value in (("seed", "7"), ("view_mode", "local-only")):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        capsys.readouterr()
+        assert run_command([*ablate, "--config", str(cfg)]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "a.txt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--omega1", "--omega2", "--lr"])
+def test_non_finite_or_negative_weights_exit_1_naming_the_field(flag, sbm_dir, tmp_path, capsys):
+    for value in ("nan", "inf", "-1"):
+        assert run_command([
+            "train", "--data", str(sbm_dir), *TRAIN_FAST, f"{flag}={value}",
+            "--out", str(tmp_path / "m"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag[2:]} must be finite and >= 0" in err
+    assert not (tmp_path / "m").exists()
 
 
 def test_runtime_errors_exit_1_with_diagnostic(tmp_path, capsys):
@@ -463,9 +512,9 @@ def _write_views(tmp_path, version):
 
 
 def _write_record(tmp_path, version):
-    from sngcl.cli import RunRecord, _emit
+    from sngcl.cli import _emit
 
-    _emit(RunRecord(metadata={"version": version}, sections=[]), tmp_path / "out" / "record.txt")
+    _emit([f"version={version}"], [], tmp_path / "out" / "record.txt")
 
 
 def _write_canonical(tmp_path, version):

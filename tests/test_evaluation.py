@@ -33,15 +33,13 @@ def labeled_population(seed=0, per_class=(60, 45, 80), unlabeled=15):
     return labels
 
 
-def test_split_spec_requires_exactly_one_validation_size():
-    with pytest.raises(InputError):
-        SplitSpec(20)
-    with pytest.raises(InputError):
-        SplitSpec(20, val_total=10, val_per_class=5)
-    with pytest.raises(InputError):
+def test_split_spec_checks_its_sizes():
+    assert SplitSpec(20) == SplitSpec(20, val_total=500)
+    with pytest.raises(InputError, match="train_per_class"):
         SplitSpec(0, val_total=10)
-    SplitSpec(20, val_total=500)
-    SplitSpec(20, val_per_class=30)
+    with pytest.raises(InputError, match="val_total"):
+        SplitSpec(20, val_total=-1)
+    SplitSpec(1, val_total=0)
 
 
 def test_make_split_stratified_sizes_and_disjointness():
@@ -63,12 +61,6 @@ def test_make_split_never_selects_unlabeled_nodes():
     split = make_split(labels, 3, SplitSpec(5, val_total=12), stream_rng(1, "split"))
     for part in (split.train_idx, split.val_idx, split.test_idx):
         assert np.all(labels[part] >= 0)
-
-
-def test_make_split_per_class_validation():
-    labels = labeled_population()
-    split = make_split(labels, 3, SplitSpec(10, val_per_class=8), stream_rng(2, "split"))
-    assert np.bincount(labels[split.val_idx], minlength=3).tolist() == [8, 8, 8]
 
 
 def test_make_split_is_deterministic_per_rng():
@@ -242,6 +234,8 @@ def test_evaluate_embeddings_report_contents():
     assert not report.degenerate
     assert report.mean_test > 0.9  # trivially separable
     assert report.probe_unconverged == 0 and report.probe_iterations >= 1
+    assert report.probe_iterations == max(r.probe_iterations for r in report.rows)
+    assert all(r.probe_converged for r in report.rows)
 
 
 def test_evaluate_embeddings_flags_collapsed_embeddings():
@@ -309,6 +303,30 @@ def test_run_ablation_rows_are_evaluate_embeddings_of_each_trained_model(sbm_tin
         encode(model, sbm_tiny), sbm_tiny.labels, sbm_tiny.n_classes, spec, [1]
     ).rows
     assert (row.acc_val, row.acc_test) == (want.acc_val, want.acc_test)
+
+
+def test_run_ablation_pools_the_probe_results_of_every_row(sbm_tiny, monkeypatch):
+    monkeypatch.setattr(evaluation, "PROBE_MAX_ITERATIONS", 1)
+    config = TrainConfig(epochs=2, encoder_dims=[16, 8, 4], predictor_dims=[4, 6, 4])
+    report = run_ablation(sbm_tiny, config, train_seeds=[0, 1], spec=SplitSpec(5, val_total=10))
+    for r in report.reports.values():
+        assert len(r.rows) == 2
+        assert (r.probe_iterations, r.probe_unconverged) == (1, 2)
+
+
+def test_run_ablation_checks_every_split_before_training(sbm_tiny, monkeypatch):
+    from sngcl import training
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the split was checked")
+
+    monkeypatch.setattr(training, "train", no_training)
+    config = TrainConfig(epochs=1, encoder_dims=[16, 4, 2], predictor_dims=[2, 2])
+    labeled = int(np.sum(sbm_tiny.labels >= 0))
+    with pytest.raises(InputError, match="val_total"):
+        run_ablation(sbm_tiny, config, train_seeds=[0, 1], spec=SplitSpec(5, val_total=labeled))
+    with pytest.raises(InputError, match="fewer than the 1000"):
+        run_ablation(sbm_tiny, config, train_seeds=[0], spec=SplitSpec(1000, val_total=0))
 
 
 def test_run_ablation_requires_labels_and_seeds(sbm_tiny):

@@ -228,6 +228,15 @@ def test_loss_config_validation():
         LossConfig(omega1=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("name", ["alpha", "beta", "omega1", "omega2"])
+def test_loss_weights_must_be_finite_and_non_negative(name, value):
+    # a NaN margin or weight would switch its hinge off without an error
+    with pytest.raises(InputError, match=f"{name} must be finite and >= 0"):
+        LossConfig(**{name: value})
+    LossConfig(**{name: 0.0})
+
+
 def test_shuffle_negatives_are_row_permutations_of_the_anchor(sbm_tiny):
     # The epoch's negatives are the anchor's rows under the plan's shuffle
     # permutations, and the shuffle stream reproduces them.

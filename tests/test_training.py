@@ -181,6 +181,13 @@ def test_dimension_mismatches_fail_before_training(sbm_tiny):
         train(sbm_tiny, TrainConfig(view_mode="sideways", epochs=1))
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
+def test_learning_rate_must_be_finite_and_non_negative(sbm_tiny, lr):
+    with pytest.raises(InputError, match="lr must be finite and >= 0"):
+        train(sbm_tiny, small_config(epochs=1, lr=lr))
+    train(sbm_tiny, small_config(epochs=1, lr=0.0))
+
+
 def test_non_finite_loss_aborts_with_the_epoch_number(sbm_tiny, monkeypatch):
     real = training.total_loss
     state = {"n": 0}
@@ -411,6 +418,10 @@ def test_checkpoint_metadata_errors_are_corruption():
         ("momentum=0.8", "momentum=8.8"),
         ("encoder_dims=16,512,256", "encoder_dims=16"),
         ("predictor_dims=256,512,256", "predictor_dims=128,512,256"),
+        ("lr=0.001", "lr=nan"),
+        ("alpha=1.0", "alpha=nan"),
+        ("beta=1.0", "beta=-1.0"),
+        ("omega1=1.0", "omega1=inf"),
     ):
         with pytest.raises(CheckpointCorruptionError, match="malformed"):
             training._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
