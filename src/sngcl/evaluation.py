@@ -46,7 +46,8 @@ def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Spli
     Nodes are visited in one random order; the first ``train_per_class`` seen
     of each class form the training set, the next ``val_total`` of the rest
     are validation, and the remainder are test.  Unlabeled nodes (label -1)
-    never appear in any part.
+    never appear in any part, and a split that would leave the validation or
+    the test part empty is an error.
     """
     labels = np.asarray(labels)
     labeled = np.flatnonzero(labels >= 0)
@@ -58,16 +59,19 @@ def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Spli
                 f"fewer than the {spec.train_per_class} the split needs"
             )
 
+    if spec.val_total < 1:
+        raise InputError(f"val_total={spec.val_total} leaves the validation part empty")
+
     taken = np.zeros(n_classes, dtype=np.int64)
     train, rest = [], []
     for i in labeled[rng.permutation(labeled.size)]:
         full = taken[labels[i]] >= spec.train_per_class
         taken[labels[i]] += not full
         (rest if full else train).append(i)
-    if len(rest) < spec.val_total:
+    if len(rest) <= spec.val_total:
         raise InputError(
-            f"only {len(rest)} labeled nodes remain after training "
-            f"selection, fewer than val_total={spec.val_total}"
+            f"only {len(rest)} labeled nodes remain after training selection, "
+            f"so val_total={spec.val_total} leaves the test part empty"
         )
     val, test = rest[: spec.val_total], rest[spec.val_total:]
 

@@ -82,20 +82,32 @@ def sample_neighbor_indices(
     """(n, n_neighbors) node indices drawn from each node's 1-hop neighborhood.
 
     Sampling is uniform: without replacement when the degree allows it, with
-    replacement otherwise.  An isolated node samples itself.
+    replacement otherwise.  An isolated node samples itself.  The rows whose
+    degree allows it take ``n_neighbors`` steps of a partial Fisher-Yates
+    shuffle over their slices of a copy of the CSR column indices, each step
+    one draw for all of them; then the other rows draw in one call.
     """
     if n_neighbors < 1:
         raise InputError(f"n_neighbors must be >= 1, got {n_neighbors}")
-    indptr = graph.adjacency.indptr
-    neighbors = graph.adjacency.indices
+    adj = graph.adjacency
+    start, deg = adj.indptr[:-1], np.diff(adj.indptr)
     out = np.empty((graph.n_nodes, n_neighbors), dtype=np.int64)
-    for i in range(graph.n_nodes):
-        row = neighbors[indptr[i] : indptr[i + 1]]
-        deg = row.shape[0]
-        if deg == 0:
-            out[i] = i
-        else:
-            out[i] = rng.choice(row, size=n_neighbors, replace=deg < n_neighbors)
+    full = np.flatnonzero(deg >= n_neighbors)
+    if full.size:
+        pool = adj.indices.copy()
+        first, span = start[full], deg[full]
+        for j in range(n_neighbors):
+            slot = first + j
+            pick = slot + rng.integers(0, span - j)
+            out[full, j] = pool[pick]
+            # step j never reads ``slot`` again, so only ``pick`` is updated
+            pool[pick] = pool[slot]
+    short = np.flatnonzero((deg > 0) & (deg < n_neighbors))
+    if short.size:
+        draws = rng.integers(0, deg[short, None], size=(short.size, n_neighbors))
+        out[short] = adj.indices[start[short, None] + draws]
+    isolated = np.flatnonzero(deg == 0)
+    out[isolated] = isolated[:, None]
     return out
 
 

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -317,20 +317,26 @@ def _epoch_forward(
     plan: EpochPlan,
     config: TrainConfig,
     negatives: list[np.ndarray] | None = None,
+    buffers: list[np.ndarray] | None = None,
 ) -> _EpochForward:
     """One epoch's forward map.
 
-    When ``negatives`` is None they are derived from the current anchor via
-    ``plan.permutations``; passing them explicitly freezes them, which is how
-    the finite-difference suite evaluates the map the analytic gradient
-    differentiates (negatives are constants by design).  ``config`` is not
-    read.
+    When ``negatives`` is None they are gathered from the current anchor via
+    ``plan.permutations`` into ``buffers``, one array shaped like the anchor
+    per permutation, or into fresh arrays when that is None.  Passing
+    ``negatives`` freezes them, which is how the finite-difference suite
+    evaluates the map the analytic gradient differentiates (negatives are
+    constants by design).  ``config`` is not read.
     """
     z1, cache_enc = mlp_forward(online, online_input)
     anchor, cache_pred = mlp_forward(predictor, z1)
     positive_struct, _ = mlp_forward(target, target_input)
     if negatives is None:
-        negatives = [anchor[p] for p in plan.permutations]
+        negatives = buffers or [np.empty_like(anchor) for _ in plan.permutations]
+        for perm, out in zip(plan.permutations, negatives, strict=True):
+            # a permutation is always in range; mode="raise" would gather
+            # into a temporary and copy that into ``out``
+            np.take(anchor, perm, axis=0, mode="clip", out=out)
     batch = EmbeddingBatch(
         anchor=anchor,
         positive_struct=positive_struct,
@@ -347,16 +353,21 @@ def _epoch_backward(
     predictor: Mlp,
     plan: EpochPlan,
     config: TrainConfig,
+    grads: Sequence[Mlp | None] = (None, None),
 ) -> tuple[Mlp, Mlp]:
-    """Gradients for the online encoder and predictor.
+    """Gradients for the online encoder and predictor, written into
+    ``grads`` (fresh Mlps where None).
 
     The neighbor positive is ``S @ anchor``, so its gradient reaches the
     anchor as ``S.T @ grad``; the structural positive belongs to the frozen
     target and receives nothing.  ``config`` is not read.
     """
+    enc_out, pred_out = grads
     d_anchor = out.grad_anchor + plan.neighbor_op.T @ out.grad_positive_neighbor
-    pred_grads, dz1 = mlp_backward(predictor, fwd.cache_pred, d_anchor)
-    enc_grads, _ = mlp_backward(online, fwd.cache_enc, dz1, need_input_grad=False)
+    pred_grads, dz1 = mlp_backward(predictor, fwd.cache_pred, d_anchor, grads=pred_out)
+    enc_grads, _ = mlp_backward(
+        online, fwd.cache_enc, dz1, need_input_grad=False, grads=enc_out
+    )
     return enc_grads, pred_grads
 
 
@@ -379,7 +390,9 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
     online = init_mlp(config.encoder_dims, rng_init)
     predictor = init_mlp(config.predictor_dims, rng_init)
     target = online.copy()
-    optimizer = init_adam(online.params() + predictor.params())
+    trained = [online, predictor]
+    optimizer = init_adam(trained)
+    grads = [net.zeros_like() for net in trained]
     state = ModelState(
         online_encoder=online,
         predictor=predictor,
@@ -388,6 +401,7 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
     )
 
     n = graph.n_nodes
+    negatives = [np.empty((n, config.encoder_dims[-1])) for _ in range(loss_cfg.k)]
     history = np.empty((config.epochs, 5))
     for epoch in range(1, config.epochs + 1):
         plan = EpochPlan(
@@ -395,7 +409,8 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
             permutations=[rng_shuffle.permutation(n) for _ in range(loss_cfg.k)],
         )
         fwd = _epoch_forward(
-            online, predictor, target, online_input, target_input, plan, config
+            online, predictor, target, online_input, target_input, plan, config,
+            buffers=negatives,
         )
         # A NaN makes every hinge bracket test False, which would report a
         # loss of 0 instead of failing.
@@ -408,15 +423,9 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
             raise TrainingDivergedError(
                 f"non-finite loss {out.total} at epoch {epoch}"
             )
-        enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan, config)
-        adam_step(
-            optimizer,
-            state.trainable_params(),
-            enc_grads.params() + pred_grads.params(),
-            config.lr,
-        )
-        state.target_encoder = momentum_update(target, online, config.momentum)
-        target = state.target_encoder
+        _epoch_backward(fwd, out, online, predictor, plan, config, grads)
+        adam_step(optimizer, trained, grads, config.lr)
+        momentum_update(target, online, config.momentum)
         history[epoch - 1] = (epoch, out.total, out.l_struct, out.l_neighbor, out.l_upper)
         if epoch_callback is not None:
             epoch_callback(epoch, state)

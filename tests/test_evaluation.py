@@ -86,6 +86,15 @@ def test_make_split_rejects_oversized_validation_total():
         make_split(labels, 2, SplitSpec(1, val_total=5), stream_rng(0, "split"))
 
 
+def test_make_split_rejects_an_empty_validation_or_test_part():
+    labels = labeled_population()  # 185 labeled nodes, 155 left after training
+    for val_total in (0, 155, 156):
+        with pytest.raises(InputError, match=f"val_total={val_total}"):
+            make_split(labels, 3, SplitSpec(10, val_total=val_total), stream_rng(0, "split"))
+    split = make_split(labels, 3, SplitSpec(10, val_total=154), stream_rng(0, "split"))
+    assert (split.val_idx.size, split.test_idx.size) == (154, 1)
+
+
 def test_canonical_citation_protocol_sizes():
     # 7 classes, 2708 nodes: 140 train / 500 val / 2068 test.
     rng = np.random.default_rng(0)
@@ -268,6 +277,36 @@ def test_evaluate_embeddings_input_checks():
     with pytest.raises(InputError, match="labels"):
         evaluate_embeddings(np.zeros((4, 2)), np.zeros(3, dtype=int), 1,
                             SplitSpec(1, val_total=0), seeds=[0])
+
+
+# 120 nodes in 3 classes with 5 training nodes per class leave 105 for
+# validation and test: 0 leaves no validation node, 105 no test node
+EMPTY_PART_SPECS = [SplitSpec(5, val_total=0), SplitSpec(5, val_total=105)]
+
+
+@pytest.mark.parametrize("spec", EMPTY_PART_SPECS)
+def test_evaluate_embeddings_rejects_an_empty_validation_or_test_part(spec):
+    labels = np.repeat([0, 1, 2], 40)
+    emb = np.random.default_rng(0).standard_normal((120, 3)) + labels[:, None]
+    with pytest.raises(InputError, match=f"val_total={spec.val_total}"):
+        evaluate_embeddings(emb, labels, 3, spec, seeds=[0, 1])
+
+
+@pytest.mark.parametrize("spec", EMPTY_PART_SPECS)
+def test_run_ablation_rejects_an_empty_validation_or_test_part_before_training(
+    spec, monkeypatch
+):
+    from sngcl import training
+    from sngcl.data import SbmConfig, generate_sbm
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the split was checked")
+
+    monkeypatch.setattr(training, "train", no_training)
+    graph = generate_sbm(SbmConfig(nodes_per_block=40, n_blocks=3, p_in=0.2, p_out=0.02))
+    config = TrainConfig(epochs=1, encoder_dims=[16, 4, 2], predictor_dims=[2, 2])
+    with pytest.raises(InputError, match=f"val_total={spec.val_total}"):
+        run_ablation(graph, config, train_seeds=[0, 1], spec=spec)
 
 
 def test_run_ablation_covers_all_modes_and_seeds(sbm_tiny):

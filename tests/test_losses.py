@@ -283,6 +283,73 @@ def test_sample_neighbor_indices_without_replacement_when_possible():
     assert set(idx[0]) == {1, 2, 3}
 
 
+def loop_sampler(graph, n_neighbors, rng):
+    """The per-node loop that ``sample_neighbor_indices`` replaced, kept as a
+    reference for the distribution: ``rng.choice`` per node, without
+    replacement when the degree allows it, and the node itself when it has
+    no neighbor."""
+    indptr, neighbors = graph.adjacency.indptr, graph.adjacency.indices
+    out = np.empty((graph.n_nodes, n_neighbors), dtype=np.int64)
+    for i in range(graph.n_nodes):
+        row = neighbors[indptr[i]:indptr[i + 1]]
+        if row.size == 0:
+            out[i] = i
+        else:
+            out[i] = rng.choice(row, size=n_neighbors, replace=row.size < n_neighbors)
+    return out
+
+
+@pytest.mark.parametrize("sampler", [sample_neighbor_indices, loop_sampler])
+def test_sampled_neighbors_are_uniform(sampler):
+    # Node 0 has 8 neighbors and draws 5 of them without replacement; node 9
+    # has 3 and draws 5 with replacement.  Either way each slot holds each
+    # neighbor with probability 1/degree.  Over 2,000 draws that frequency
+    # has a std of at most 0.011, and the bound, set before the first run,
+    # is 0.05.
+    edges = [(0, j) for j in range(1, 9)] + [(9, 10), (9, 11), (9, 12)]
+    g = build_graph(edges, np.eye(13))
+    rng = stream_rng(0, "neighbor")
+    draws = np.stack([sampler(g, 5, rng) for _ in range(2000)])
+    for node, neighbors in ((0, range(1, 9)), (9, range(10, 13))):
+        picks = draws[:, node, :]
+        assert set(np.unique(picks)) == set(neighbors)
+        freq = np.stack([(picks == j).mean(axis=0) for j in neighbors])  # per slot
+        assert np.abs(freq - 1.0 / len(neighbors)).max() <= 0.05
+
+
+def test_sampled_rows_never_repeat_an_index_the_degree_allows():
+    rng = np.random.default_rng(4)
+    n = 60
+    upper = np.triu(rng.random((n, n)) < 0.12, k=1)
+    g = build_graph(np.argwhere(upper), np.eye(n))
+    deg = np.diff(g.adjacency.indptr)
+    assert (deg >= 4).any() and ((deg > 0) & (deg < 4)).any()
+    for seed in range(5):
+        idx = sample_neighbor_indices(g, 4, stream_rng(seed, "neighbor"))
+        for i in range(n):
+            assert set(idx[i]) <= set(g.adjacency[i].indices) or deg[i] == 0
+            if deg[i] >= 4:
+                assert len(set(idx[i])) == 4
+
+
+def test_isolated_nodes_sample_themselves():
+    g = build_graph([(0, 1), (1, 2), (2, 4)], np.eye(7))
+    idx = sample_neighbor_indices(g, 3, stream_rng(0, "neighbor"))
+    for i in (3, 5, 6):
+        assert idx[i].tolist() == [i, i, i]
+    assert not np.isin(idx[[0, 1, 2, 4]], [3, 5, 6]).any()
+
+
+def test_equal_generator_states_sample_equal_indices():
+    g = build_graph([(0, j) for j in range(1, 7)] + [(1, 2), (3, 4)], np.eye(8))
+    a, b = stream_rng(3, "neighbor"), stream_rng(3, "neighbor")
+    for _ in range(3):
+        np.testing.assert_array_equal(
+            sample_neighbor_indices(g, 3, a), sample_neighbor_indices(g, 3, b)
+        )
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_neighbor_mean_averages_selected_rows():
     # S @ anchor is the mean of the sampled rows; a row sampled twice counts twice.
     anchor = np.array([[0.0, 0.0], [2.0, 4.0], [4.0, 0.0]])

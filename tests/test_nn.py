@@ -1,5 +1,7 @@
 """MLP forward/backward, Adam, and the EMA target update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import numeric_grad
@@ -9,6 +11,7 @@ from sngcl.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    BLOCK,
     Mlp,
     ModelState,
     adam_step,
@@ -102,6 +105,32 @@ def test_backward_can_skip_the_input_gradient():
         np.testing.assert_array_equal(a, b)
 
 
+def test_backward_writes_into_the_given_gradient_buffers():
+    mlp = init_mlp([5, 4, 2], stream_rng(2, "init"))
+    x = np.random.default_rng(3).standard_normal((6, 5))
+    y, cache = mlp_forward(mlp, x)
+    fresh, _ = mlp_backward(mlp, cache, y)
+    out = mlp.zeros_like()
+    got, _ = mlp_backward(mlp, cache, y, grads=out)
+    assert got is out
+    assert got.buffer.tobytes() == fresh.buffer.tobytes()
+    with pytest.raises(InputError, match="shapes disagree"):
+        mlp_backward(mlp, cache, y, grads=init_mlp([5, 3, 2], stream_rng(2, "init")))
+
+
+def test_mlp_tensors_are_views_of_one_buffer():
+    mlp = init_mlp([5, 4, 2], stream_rng(2, "init"))
+    assert mlp.buffer.size == 5 * 4 + 4 + 4 * 2 + 2
+    assert np.concatenate([p.ravel() for p in mlp.params()]).tobytes() == mlp.buffer.tobytes()
+    for p in mlp.params():
+        assert np.shares_memory(p, mlp.buffer)
+    copy, zeros = mlp.copy(), mlp.zeros_like()
+    assert copy.buffer.tobytes() == mlp.buffer.tobytes()
+    assert not np.shares_memory(copy.buffer, mlp.buffer)
+    assert [z.shape for z in zeros.params()] == [p.shape for p in mlp.params()]
+    assert not np.any(zeros.buffer)
+
+
 def test_backward_rejects_wrong_output_shape():
     mlp = init_mlp([3, 2], stream_rng(0, "init"))
     _, cache = mlp_forward(mlp, np.zeros((4, 3)))
@@ -112,16 +141,16 @@ def test_backward_rejects_wrong_output_shape():
 def test_adam_first_step_has_learning_rate_magnitude():
     # After one step m_hat = g and v_hat = g^2, so the update is
     # lr * g / (|g| + eps): the learning rate itself, up to eps.
-    p = np.array([0.0])
+    p = Mlp([np.zeros((1, 1))], [np.zeros(1)])
     state = init_adam([p])
-    adam_step(state, [p], [np.array([10.0])], lr=0.1)
-    assert p[0] == pytest.approx(-0.1, abs=1e-6)
+    adam_step(state, [p], [Mlp([np.full((1, 1), 10.0)], [np.full(1, 10.0)])], lr=0.1)
+    assert p.buffer == pytest.approx([-0.1, -0.1], abs=1e-6)
     assert state.step == 1
 
 
 def test_adam_matches_scalar_reference_over_many_steps():
     rng = np.random.default_rng(5)
-    p = np.array([0.3])
+    p = Mlp([np.full((1, 1), 0.3)], [np.full(1, 0.3)])
     state = init_adam([p])
 
     # Plain transcription of the update rule, kept separate from the
@@ -133,51 +162,112 @@ def test_adam_matches_scalar_reference_over_many_steps():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref_p -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        adam_step(state, [p], [np.array([g])], lr=lr)
-        assert p[0] == pytest.approx(ref_p, abs=1e-14)
+        adam_step(state, [p], [Mlp([np.full((1, 1), g)], [np.full(1, g)])], lr=lr)
+        assert p.buffer == pytest.approx([ref_p, ref_p], abs=1e-14)
 
 
 def test_adam_updates_in_place_and_checks_shapes():
-    p = np.zeros((2, 2))
-    original = p
+    p = Mlp([np.zeros((2, 2))], [np.zeros(2)])
+    original = p.buffer
     state = init_adam([p])
-    adam_step(state, [p], [np.ones((2, 2))], lr=0.1)
-    assert p is original
-    assert np.all(p != 0.0)
+    adam_step(state, [p], [Mlp([np.ones((2, 2))], [np.ones(2)])], lr=0.1)
+    assert p.buffer is original
+    assert np.all(p.buffer != 0.0)
     with pytest.raises(InputError):
-        adam_step(state, [p], [np.ones(3)], lr=0.1)
+        adam_step(state, [p], [Mlp([np.ones((2, 3))], [np.ones(3)])], lr=0.1)
     with pytest.raises(InputError):
-        adam_step(state, [p, p], [np.ones((2, 2))], lr=0.1)
+        adam_step(state, [p, p], [Mlp([np.ones((2, 2))], [np.ones(2)])], lr=0.1)
+
+
+def _reference_adam_step(params, grads, m1s, m2s, t, lr):
+    """The update as written before Adam used preallocated scratch: every
+    operation allocates its result, in this order."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for p, g, m1, m2 in zip(params, grads, m1s, m2s):
+        m1 *= b1
+        m1 += (1.0 - b1) * g
+        m2 *= b2
+        m2 += (1.0 - b2) * g * g
+        m1_hat = m1 / (1.0 - b1**t)
+        m2_hat = m2 / (1.0 - b2**t)
+        p -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
+
+
+def _scaled_like(net, rng):
+    """Normal draws shaped like ``net``, each tensor scaled by 10^-6..10^2."""
+    scaled = lambda arrays: [rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
+                             for a in arrays]
+    return Mlp(scaled(net.weights), scaled(net.biases))
 
 
 def test_adam_is_bitwise_equal_to_the_allocating_formula():
-    # The update as written before Adam used preallocated scratch: every
-    # operation allocates its result, in this order.
-    def reference_step(params, grads, m1s, m2s, t, lr):
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for p, g, m1, m2 in zip(params, grads, m1s, m2s):
-            m1 *= b1
-            m1 += (1.0 - b1) * g
-            m2 *= b2
-            m2 += (1.0 - b2) * g * g
-            m1_hat = m1 / (1.0 - b1**t)
-            m2_hat = m2 / (1.0 - b2**t)
-            p -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
-
     rng = np.random.default_rng(11)
-    shapes = [(7, 5), (5,), (5, 3), (3,), (1, 1)]
     # parameters as small as a step, so that a step's last bit reaches them
-    params = [rng.standard_normal(s) * 1e-3 for s in shapes]
+    small = lambda *shape: rng.standard_normal(shape) * 1e-3
+    nets = [
+        Mlp([small(7, 5), small(5, 3)], [small(5), small(3)]),
+        Mlp([small(1, 1)], [small(1)]),
+    ]
+    params = [p for net in nets for p in net.params()]
     ref = [p.copy() for p in params]
     ref_m1 = [np.zeros_like(p) for p in params]
     ref_m2 = [np.zeros_like(p) for p in params]
-    state = init_adam(params)
+    state = init_adam(nets)
     for t in range(1, 21):
-        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
-        adam_step(state, params, grads, lr=1e-3)
-        reference_step(ref, grads, ref_m1, ref_m2, t, 1e-3)
+        grads = [_scaled_like(net, rng) for net in nets]
+        adam_step(state, nets, grads, lr=1e-3)
+        _reference_adam_step(
+            ref, [g for net in grads for g in net.params()], ref_m1, ref_m2, t, 1e-3
+        )
         for got, want in zip(params + state.m1 + state.m2, ref + ref_m1 + ref_m2):
             assert got.tobytes() == want.tobytes()
+
+
+# a network whose buffer spans several blocks and ends in a partial one
+BLOCKED_DIMS = [256, 1024]
+
+
+def test_adam_over_several_blocks_is_bitwise_equal_to_the_elementwise_formula():
+    rng = np.random.default_rng(12)
+    net = init_mlp(BLOCKED_DIMS, stream_rng(0, "init"))
+    assert net.buffer.size > 2 * BLOCK and net.buffer.size % BLOCK
+    ref, ref_m1, ref_m2 = net.buffer.copy(), np.zeros(net.buffer.size), np.zeros(net.buffer.size)
+    state = init_adam([net])
+    for t in range(1, 4):
+        grad = _scaled_like(net, rng)
+        adam_step(state, [net], [grad], lr=1e-3)
+        _reference_adam_step([ref], [grad.buffer], [ref_m1], [ref_m2], t, 1e-3)
+        assert net.buffer.tobytes() == ref.tobytes()
+        assert state.first[0].buffer.tobytes() == ref_m1.tobytes()
+        assert state.second[0].buffer.tobytes() == ref_m2.tobytes()
+    # the parameters stay views of the buffer Adam updates
+    for p in net.params():
+        assert np.shares_memory(p, net.buffer)
+
+
+def test_an_adam_step_allocates_nothing_the_size_of_a_parameter_tensor():
+    net = init_mlp(BLOCKED_DIMS, stream_rng(0, "init"))
+    grad = _scaled_like(net, np.random.default_rng(13))
+    state = init_adam([net])
+    adam_step(state, [net], [grad], lr=1e-3)
+    tracemalloc.start()
+    try:
+        adam_step(state, [net], [grad], lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(p.nbytes for p in net.params())
+
+
+def test_momentum_update_over_several_blocks_is_bitwise_equal_to_the_elementwise_formula():
+    online = init_mlp(BLOCKED_DIMS, stream_rng(0, "init"))
+    target = init_mlp(BLOCKED_DIMS, stream_rng(1, "init"))
+    assert target.buffer.size > 2 * BLOCK and target.buffer.size % BLOCK
+    want = target.buffer.copy()
+    for m in (0.8, 0.3, 0.99):
+        want = m * want + (1.0 - m) * online.buffer
+        momentum_update(target, online, m)
+        assert target.buffer.tobytes() == want.tobytes()
 
 
 def test_momentum_update_works_in_place_bitwise():
@@ -224,9 +314,10 @@ def test_trainable_params_exclude_the_target_network():
         online_encoder=online,
         predictor=predictor,
         target_encoder=target,
-        optimizer=init_adam(online.params() + predictor.params()),
+        optimizer=init_adam([online, predictor]),
     )
     trainable = state.trainable_params()
+    assert len(state.optimizer.m1) == len(state.optimizer.m2) == len(trainable)
     assert len(trainable) == 4
     for t_param in target.params():
         assert all(t_param is not p for p in trainable)

@@ -343,6 +343,34 @@ def test_factorised_epoch_gradients_match_finite_differences(view_mode):
         assert np.max(np.abs(analytic - fd) / denom) < 1e-4
 
 
+def test_negatives_are_gathered_into_the_given_buffers_and_never_shared():
+    config, nets, plan, dense, _ = _sparse_epoch_instance(VIEW_BOTH)
+    first = _epoch_forward(*nets, *dense, plan, config)
+    second = _epoch_forward(*nets, *dense, plan, config)
+    for a in first.batch.negatives:
+        assert not any(np.shares_memory(a, b) for b in second.batch.negatives)
+    buffers = [np.full_like(first.batch.anchor, np.nan) for _ in plan.permutations]
+    third = _epoch_forward(*nets, *dense, plan, config, buffers=buffers)
+    assert all(got is buf for got, buf in zip(third.batch.negatives, buffers, strict=True))
+    for perm, got, fresh in zip(plan.permutations, buffers, first.batch.negatives):
+        assert got.tobytes() == fresh.tobytes() == third.batch.anchor[perm].tobytes()
+
+
+def test_the_training_loop_reuses_its_negative_buffers(sbm_tiny, monkeypatch):
+    seen = []
+    real = training.total_loss
+
+    def recording(batch, cfg):
+        seen.append(list(batch.negatives))  # held, so no address is reused
+        return real(batch, cfg)
+
+    monkeypatch.setattr(training, "total_loss", recording)
+    train(sbm_tiny, small_config(epochs=3, loss=LossConfig(k=3)))
+    assert len(seen) == 3 and len({id(neg) for neg in seen[0]}) == 3
+    for later in seen[1:]:
+        assert all(a is b for a, b in zip(seen[0], later, strict=True))
+
+
 def test_factorised_training_is_bitwise_repeatable(tmp_path):
     graph = sparse_feature_graph()
     config = small_config(epochs=4, **SPARSE_SMALL)
