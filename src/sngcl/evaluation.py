@@ -46,10 +46,15 @@ def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Spli
     Nodes are visited in one random order; the first ``train_per_class`` seen
     of each class form the training set, the next ``val_total`` of the rest
     are validation, and the remainder are test.  Unlabeled nodes (label -1)
-    never appear in any part, and a split that would leave the validation or
-    the test part empty is an error.
+    never appear in any part.  A label outside ``[-1, n_classes)``, a class
+    too small for the training set, or a split that would leave the
+    validation or the test part empty is an error.
     """
     labels = np.asarray(labels)
+    bad = (labels < -1) | (labels >= n_classes)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise InputError(f"label {labels[node]} of node {node} lies outside [-1, {n_classes})")
     labeled = np.flatnonzero(labels >= 0)
     counts = np.bincount(labels[labeled], minlength=n_classes)
     for c in range(n_classes):
@@ -62,23 +67,23 @@ def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Spli
     if spec.val_total < 1:
         raise InputError(f"val_total={spec.val_total} leaves the validation part empty")
 
-    taken = np.zeros(n_classes, dtype=np.int64)
-    train, rest = [], []
-    for i in labeled[rng.permutation(labeled.size)]:
-        full = taken[labels[i]] >= spec.train_per_class
-        taken[labels[i]] += not full
-        (rest if full else train).append(i)
-    if len(rest) <= spec.val_total:
+    visit = labeled[rng.permutation(labeled.size)]
+    # each node's rank among the nodes of its class, in visit order
+    by_class = np.argsort(labels[visit], kind="stable")
+    rank = np.empty(visit.size, dtype=np.int64)
+    rank[by_class] = np.arange(visit.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    chosen = rank < spec.train_per_class
+    rest = visit[~chosen]
+    if rest.size <= spec.val_total:
         raise InputError(
-            f"only {len(rest)} labeled nodes remain after training selection, "
+            f"only {rest.size} labeled nodes remain after training selection, "
             f"so val_total={spec.val_total} leaves the test part empty"
         )
-    val, test = rest[: spec.val_total], rest[spec.val_total:]
 
     return Split(
-        train_idx=np.sort(np.asarray(train, dtype=np.int64)),
-        val_idx=np.sort(np.asarray(val, dtype=np.int64)),
-        test_idx=np.sort(np.asarray(test, dtype=np.int64)),
+        train_idx=np.sort(visit[chosen]),
+        val_idx=np.sort(rest[: spec.val_total]),
+        test_idx=np.sort(rest[spec.val_total:]),
     )
 
 
@@ -119,49 +124,55 @@ def train_probe(x: np.ndarray, y: np.ndarray, n_classes: int) -> Probe:
     mean, std = x.mean(axis=0), x.std(axis=0)
     std[std == 0] = 1.0
     z = (x - mean) / std
+    rows = np.arange(n)
     onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
+    onehot[rows, y] = 1.0
 
+    # Vector dot products are written ``a.dot(b)``, the same BLAS call as
+    # ``a @ b`` with less overhead, and a mean is a sum over the count, as
+    # in np.mean: each float is the one the plain expressions give.
     def objective(theta):
         w, b = theta[:-n_classes].reshape(d, n_classes), theta[-n_classes:]
         logits = z @ w + b
         logits -= logits.max(axis=1, keepdims=True)
         lse = np.log(np.exp(logits).sum(axis=1))
         g = (np.exp(logits - lse[:, None]) - onehot) / n
-        value = np.mean(lse - logits[np.arange(n), y]) + 0.5 * PROBE_L2 * np.sum(w * w)
+        value = (lse - logits[rows, y]).sum() / n + 0.5 * PROBE_L2 * (w * w).sum()
         return value, np.concatenate([(z.T @ g + PROBE_L2 * w).ravel(), g.sum(axis=0)])
 
     theta = np.zeros((d + 1) * n_classes)
     f, g = objective(theta)
     losses, pairs = [f], []
-    converged = bool(np.max(np.abs(g)) <= PROBE_TOLERANCE)
+    converged = bool(np.abs(g).max() <= PROBE_TOLERANCE)
     while not converged and len(losses) <= PROBE_MAX_ITERATIONS:
-        # two-loop recursion: direction = -H g from the stored (s, y) pairs
+        # two-loop recursion: direction = -H g from the stored (s, y, y.s)
         q, alphas = g.copy(), []
-        for s, yv in reversed(pairs):
-            alphas.append(s @ q / (yv @ s))
+        for s, yv, ys in reversed(pairs):
+            alphas.append(s.dot(q) / ys)
             q -= alphas[-1] * yv
         if pairs:
-            q *= pairs[-1][0] @ pairs[-1][1] / (pairs[-1][1] @ pairs[-1][1])
-        for (s, yv), alpha in zip(pairs, reversed(alphas)):
-            q += (alpha - yv @ q / (yv @ s)) * s
-        direction, slope = -q, -(g @ q)
+            q *= pairs[-1][0].dot(pairs[-1][1]) / pairs[-1][1].dot(pairs[-1][1])
+        for (s, yv, ys), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - yv.dot(q) / ys) * s
+        direction, slope = -q, -g.dot(q)
         if not slope < 0:
-            direction, slope, pairs = -g, -(g @ g), []
+            direction, slope, pairs = -g, -g.dot(g), []
         step = 1.0
         for _ in range(_MAX_HALVINGS):
-            f_new, g_new = objective(theta + step * direction)
+            s = step * direction
+            trial = theta + s
+            f_new, g_new = objective(trial)
             if f_new <= f + _ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
             break  # no descent step: stop with converged False
-        s, yv = step * direction, g_new - g
-        if s @ yv > 1e-12 * np.sqrt((s @ s) * (yv @ yv)):
-            pairs = (pairs + [(s, yv)])[-PROBE_HISTORY:]
-        theta, f, g = theta + s, f_new, g_new
+        yv = g_new - g
+        if s.dot(yv) > 1e-12 * np.sqrt(s.dot(s) * yv.dot(yv)):
+            pairs = (pairs + [(s, yv, yv.dot(s))])[-PROBE_HISTORY:]
+        theta, f, g = trial, f_new, g_new
         losses.append(f)
-        converged = bool(np.max(np.abs(g)) <= PROBE_TOLERANCE)
+        converged = bool(np.abs(g).max() <= PROBE_TOLERANCE)
 
     w, b = theta[:-n_classes].reshape(d, n_classes), theta[-n_classes:]
     weights, bias = w / std[:, None], b - (mean / std) @ w

@@ -11,11 +11,15 @@ products; the dense power ``H^t`` is never materialized.  For sparse
 features, :func:`smoothed_operator` goes one step further and never forms
 ``H^t X`` either: it is the linear operator ``H^t X``, so a first layer
 ``(H^t X) W`` is computed as ``H^t (X W)`` from sparse products alone.
+
+The fixed operators these read (each mode's ``H``, the CSR form of ``X`` and
+its nonzero count) are derived once per graph, on first use, and kept by it;
+the smoothed ``H^t X`` itself is recomputed by every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,12 +38,22 @@ class Graph:
     ``adjacency`` is a symmetric CSR matrix with unit weights and no stored
     self-loops.  ``labels`` may be None (unlabeled graph) or an int array
     where -1 marks individually unlabeled nodes.
+
+    A graph keeps the operators derived from its fields (``_derived``, see
+    :func:`propagation_matrix`), so it must not be mutated once they exist.
     """
 
     adjacency: sp.csr_matrix
     features: np.ndarray
     labels: np.ndarray | None = None
     n_classes: int | None = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _derive(self, key: str, build):
+        """``build(self)``, computed on the first call for ``key`` and kept."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     @property
     def n_nodes(self) -> int:
@@ -127,13 +141,16 @@ def build_graph(
 
 def propagation_matrix(graph: Graph, mode: str) -> sp.csr_matrix:
     """Normalized propagation operator over the self-loop augmented graph, as
-    sparse CSR.
-
-    The self-loop guarantees every augmented degree is >= 1, so no division
-    by zero is possible even for isolated nodes.
-    """
+    sparse CSR; built on the first call per mode and kept by the graph, so
+    the caller must not modify it."""
     if mode not in MODES:
         raise InputError(f"unknown propagation mode {mode!r}; known: {MODES}")
+    return graph._derive(mode, lambda g: _build_propagation(g, mode))
+
+
+def _build_propagation(graph: Graph, mode: str) -> sp.csr_matrix:
+    # The self-loop guarantees every augmented degree is >= 1, so no
+    # division by zero is possible even for isolated nodes.
     n = graph.n_nodes
     a_hat = (graph.adjacency + sp.identity(n, format="csr")).tocsr()
     d_hat = np.asarray(a_hat.sum(axis=1)).ravel()
@@ -206,4 +223,15 @@ def smoothed_operator(graph: Graph, t: int, mode: str) -> SmoothedOperator:
     """The stacked t-layer filter ``H^t X`` as a :class:`SmoothedOperator`."""
     if t < 0:
         raise InputError(f"stacking depth t must be >= 0, got {t}")
-    return SmoothedOperator(propagation_matrix(graph, mode), sp.csr_matrix(graph.features), t)
+    x = graph._derive("csr_features", _build_csr_features)
+    return SmoothedOperator(propagation_matrix(graph, mode), x, t)
+
+
+def _build_csr_features(graph: Graph) -> sp.csr_matrix:
+    return sp.csr_matrix(graph.features)
+
+
+def feature_nonzeros(graph: Graph) -> int:
+    """How many feature entries are nonzero, kept by the graph after the
+    first call."""
+    return graph._derive("feature_nonzeros", lambda g: int(np.count_nonzero(g.features)))

@@ -13,6 +13,7 @@ block and its work arrays stay in cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,13 +36,30 @@ class Mlp:
 
     def __post_init__(self) -> None:
         params = self.params()
-        self.buffer = np.empty(sum(p.size for p in params))
+        self._lay_out([p.shape for p in params])
+        for view, p in zip(self.params(), params):
+            view[...] = p
+
+    def _lay_out(self, shapes: list[tuple[int, ...]]) -> None:
+        """Make the parameters views of a fresh buffer, in ``params`` order."""
+        self.buffer = np.empty(sum(math.prod(shape) for shape in shapes))
         views, start = [], 0
-        for p in params:
-            views.append(self.buffer[start:start + p.size].reshape(p.shape))
-            views[-1][...] = p
-            start += p.size
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(self.buffer[start:start + size].reshape(shape))
+            start += size
         self.weights, self.biases = views[0::2], views[1::2]
+
+    @classmethod
+    def unset(cls, dims: list[int]) -> "Mlp":
+        """An Mlp of the given layer widths whose parameters are left
+        uninitialised, for a reader to fill in place."""
+        mlp = cls.__new__(cls)
+        mlp._lay_out([
+            shape for d_in, d_out in zip(dims[:-1], dims[1:])
+            for shape in ((d_in, d_out), (d_out,))
+        ])
+        return mlp
 
     @property
     def n_layers(self) -> int:
@@ -104,7 +122,8 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     last = mlp.n_layers - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         inputs.append(a)
-        z = a @ w + b
+        z = a @ w
+        z += b  # the sums of ``a @ w + b``, without a second array
         pre_acts.append(z)
         a = np.maximum(z, 0.0) if l < last else z
     return a, ForwardCache(inputs=inputs, pre_activations=pre_acts)
@@ -265,6 +284,3 @@ class ModelState:
     predictor: Mlp | None
     target_encoder: Mlp
     optimizer: AdamState | None = field(repr=False, default=None)
-
-    def trainable_params(self) -> list[np.ndarray]:
-        return self.online_encoder.params() + self.predictor.params()

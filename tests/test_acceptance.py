@@ -210,7 +210,7 @@ def test_criterion_03_target_follows_exact_momentum_recursion():
     state = model.model
     n_trainable = len(state.online_encoder.params()) + len(state.predictor.params())
     assert len(state.optimizer.m1) == n_trainable
-    trainable_ids = {id(p) for p in state.trainable_params()}
+    trainable_ids = {id(p) for p in state.online_encoder.params() + state.predictor.params()}
     assert all(id(p) not in trainable_ids for p in state.target_encoder.params())
 
     # replay the recursion from the initial weights; equality must be bitwise

