@@ -26,6 +26,7 @@ from .data import (
     generate_sbm,
     load_canonical,
     load_planetoid,
+    read_key_values,
     save_canonical,
 )
 from .errors import InputError, ParseError, SngclError
@@ -54,23 +55,6 @@ HISTORY_NAME = "history.tsv"
 RECORD_NAME = "record.txt"
 
 
-def read_config_file(path) -> dict[str, str]:
-    """key=value lines; blank lines and ``#`` comments are skipped."""
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"{path}: config file not found")
-    kv = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ParseError(f"{path}:{lineno}: expected key=value")
-        kv[key.strip()] = value.strip()
-    return kv
-
-
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -82,7 +66,7 @@ def _train_config(args) -> TrainConfig:
     values = {}
     if args.config is not None:
         table = {h.name: h for h in args.hyperparameters}
-        for key, raw in read_config_file(args.config).items():
+        for key, raw in read_key_values(args.config).items():
             if key not in table:
                 raise ParseError(f"{args.config}: unknown config key {key!r}")
             try:
@@ -253,8 +237,8 @@ def cmd_ablate(args) -> int:
     t0 = time.perf_counter()
     graph = load_canonical(args.data)
     spec = SplitSpec(args.train_per_class, args.val_total)
-    report = run_ablation(graph, config, args.train_seeds, spec, embed_output=args.embedding)
-    for mode, r in report.reports.items():
+    reports = run_ablation(graph, config, args.train_seeds, spec, embed_output=args.embedding)
+    for mode, r in reports.items():
         _warn(r, f"{mode}: ")
     values = config_values(config.resolved(graph.n_features))
     metadata = [
@@ -273,7 +257,7 @@ def cmd_ablate(args) -> int:
             "view_mode\tseed\tacc_val\tacc_test",
             [
                 (mode, row.seed, f"{row.acc_val:.17g}", f"{row.acc_test:.17g}")
-                for mode, r in report.reports.items()
+                for mode, r in reports.items()
                 for row in r.rows
             ],
         ),
@@ -282,13 +266,13 @@ def cmd_ablate(args) -> int:
             "view_mode\tmean_val\tmean_test\tstd_test",
             [
                 (mode, f"{r.mean_val:.17g}", f"{r.mean_test:.17g}", f"{r.std_test:.17g}")
-                for mode, r in report.reports.items()
+                for mode, r in reports.items()
             ],
         ),
     ]
     _emit(metadata, sections, args.out)
     if args.out is not None:
-        for mode, r in report.reports.items():
+        for mode, r in reports.items():
             print(f"{mode}: test accuracy {r.mean_test:.4f} +/- {r.std_test:.4f}")
         print(f"ablation report -> {args.out}")
     return 0

@@ -165,6 +165,23 @@ def save_canonical(graph: Graph, directory) -> None:
         np.savetxt(f, labels, fmt="%d")
 
 
+def read_key_values(path: Path) -> dict[str, str]:
+    """The ``key=value`` lines of a manifest or a ``--config`` file, keys
+    and values stripped; blank lines and ``#`` comments are skipped."""
+    if not path.is_file():
+        raise ParseError(f"{path}: not found")
+    kv = {}  # an undecodable byte becomes U+FFFD and fails as a key or a value would
+    for lineno, line in enumerate(path.read_text("utf-8", "replace").splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise ParseError(f"{path}:{lineno}: expected key=value")
+        kv[key.strip()] = value.strip()
+    return kv
+
+
 def _manifest_int(kv: dict, key: str, path: Path) -> int:
     if key not in kv:
         raise ParseError(f"{path}: missing {key}")
@@ -207,16 +224,7 @@ def load_canonical(directory) -> Graph:
     against the manifest."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ParseError(f"{manifest_path}: not found")
-    kv = {}
-    for lineno, line in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError(f"{manifest_path}:{lineno}: expected key=value")
-        kv[key.strip()] = value.strip()
+    kv = read_key_values(manifest_path)
     n_nodes = _manifest_int(kv, "n_nodes", manifest_path)
     n_features = _manifest_int(kv, "n_features", manifest_path)
     n_classes = _manifest_int(kv, "n_classes", manifest_path)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
+from .graph import check_labels
 from .rng import stream_rng
 
 
@@ -51,10 +52,7 @@ def make_split(labels: np.ndarray, n_classes: int, spec: SplitSpec, rng) -> Spli
     validation or the test part empty is an error.
     """
     labels = np.asarray(labels)
-    bad = (labels < -1) | (labels >= n_classes)
-    if bad.any():
-        node = int(np.argmax(bad))
-        raise InputError(f"label {labels[node]} of node {node} lies outside [-1, {n_classes})")
+    check_labels(labels, n_classes)
     labeled = np.flatnonzero(labels >= 0)
     counts = np.bincount(labels[labeled], minlength=n_classes)
     for c in range(n_classes):
@@ -272,22 +270,11 @@ def evaluate_embeddings(
     return EvalReport(rows, degenerate=bool(np.all(embeddings.std(axis=0) < 1e-12)))
 
 
-@dataclass
-class AblationReport:
-    """One report per view mode, each with one row per training seed."""
-
-    reports: dict[str, EvalReport]
-
-    def mean_test(self, view_mode: str) -> float:
-        if view_mode not in self.reports:
-            raise InputError(f"no ablation report for view mode {view_mode!r}")
-        return self.reports[view_mode].mean_test
-
-
 def run_ablation(
     graph, base_config, train_seeds, spec: SplitSpec, embed_output: str | None = None,
-) -> AblationReport:
-    """Train and probe once per (view mode, seed) pair.
+) -> dict[str, EvalReport]:
+    """Train and probe once per (view mode, seed) pair; one report per view
+    mode, each with one row per training seed.
 
     The seed drives initialization, sampling and the evaluation split, so
     the split draw is paired across view modes and their means compare on
@@ -315,4 +302,4 @@ def run_ablation(
             rows += report.rows
             degenerate |= report.degenerate
         reports[mode] = EvalReport(rows, degenerate)
-    return AblationReport(reports)
+    return reports

@@ -31,7 +31,7 @@ SYMMETRIC = "symmetric"
 MODES = (RANDOM_WALK, SYMMETRIC)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
     """Undirected attributed graph.
 
@@ -40,7 +40,8 @@ class Graph:
     where -1 marks individually unlabeled nodes.
 
     A graph keeps the operators derived from its fields (``_derived``, see
-    :func:`propagation_matrix`), so it must not be mutated once they exist.
+    :func:`propagation_matrix`), so it is frozen, and :func:`build_graph`
+    makes its arrays read-only.
     """
 
     adjacency: sp.csr_matrix
@@ -72,9 +73,7 @@ class Graph:
         if self.adjacency.shape != (n, n):
             raise InputError("adjacency must be square")
         if self.features.shape[0] != n:
-            raise InputError(
-                f"feature rows ({self.features.shape[0]}) != n_nodes ({n})"
-            )
+            raise InputError(f"feature rows ({self.features.shape[0]}) != n_nodes ({n})")
         bad = ~np.isfinite(self.features)
         if bad.any():
             row, col = np.argwhere(bad)[0]
@@ -87,14 +86,24 @@ class Graph:
             raise InputError("adjacency must not store self-loops")
         if self.labels is not None:
             if self.labels.shape != (n,):
-                raise InputError(
-                    f"label count ({self.labels.shape[0]}) != n_nodes ({n})"
-                )
+                raise InputError(f"label count ({self.labels.shape[0]}) != n_nodes ({n})")
             if self.n_classes is None:
                 raise InputError("labels present but n_classes missing")
-            lab = self.labels[self.labels >= 0]
-            if lab.size and lab.max() >= self.n_classes:
-                raise InputError("label id outside [0, n_classes)")
+            check_labels(self.labels, self.n_classes)
+
+
+def check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Reject the first label outside ``[-1, n_classes)``, naming its node."""
+    bad = np.flatnonzero((labels < -1) | (labels >= n_classes))
+    if bad.size:
+        raise InputError(f"label {labels[bad[0]]} of node {bad[0]} lies outside [-1, {n_classes})")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that cannot be written through."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def build_graph(
@@ -107,7 +116,8 @@ def build_graph(
 
     Pairs are symmetrized, duplicates collapse to a single unit-weight edge,
     and self-loop pairs are dropped.  Node ids must lie in ``[0, n)`` where
-    ``n`` is the feature row count.
+    ``n`` is the feature row count.  The graph's arrays are read-only views,
+    not copies, of ``features`` and ``labels`` when their dtype fits.
     """
     features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
     if features.ndim != 2:
@@ -127,14 +137,13 @@ def build_graph(
         (np.ones(rows.shape[0]), (rows, cols)), shape=(n, n)
     ).tocsr()
     adj.data[:] = 1.0  # collapse duplicate pairs summed by tocsr
+    adj.data, adj.indices, adj.indptr = map(_read_only, (adj.data, adj.indices, adj.indptr))
 
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n,):
-            raise InputError(f"label count ({labels.shape[0]}) != n_nodes ({n})")
+        labels = _read_only(np.asarray(labels, dtype=np.int64))
         if n_classes is None:
             n_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
-    graph = Graph(adjacency=adj, features=features, labels=labels, n_classes=n_classes)
+    graph = Graph(adj, _read_only(features), labels, n_classes)
     graph.validate()
     return graph
 

@@ -201,16 +201,6 @@ class AdamState:
     second: list[Mlp]
     scratch: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
-    @property
-    def m1(self) -> list[np.ndarray]:
-        """First moments, one view per trained tensor."""
-        return [m for net in self.first for m in net.params()]
-
-    @property
-    def m2(self) -> list[np.ndarray]:
-        """Second moments, one view per trained tensor."""
-        return [m for net in self.second for m in net.params()]
-
 
 def init_adam(nets: list[Mlp]) -> AdamState:
     size = min(BLOCK, max((net.buffer.size for net in nets), default=0))

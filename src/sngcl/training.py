@@ -139,6 +139,10 @@ class TrainConfig:
         _view_filters(self.view_mode)
         if self.encoder_dims is None or self.predictor_dims is None:
             raise InputError("dims must be resolved before validation")
+        for name in ("encoder_dims", "predictor_dims"):
+            dims = getattr(self, name)
+            if len(dims) < 2 or min(dims) < 1:
+                raise InputError(f"{name} must be >= 2 positive layer widths, got {dims}")
         if self.encoder_dims[0] != n_features:
             raise InputError(
                 f"encoder input dim {self.encoder_dims[0]} != feature width {n_features}"
@@ -330,7 +334,6 @@ def _epoch_forward(
     online_input: np.ndarray | SmoothedOperator,
     target_input: np.ndarray | SmoothedOperator,
     plan: EpochPlan,
-    config: TrainConfig,
     negatives: list[np.ndarray] | None = None,
     buffers: list[np.ndarray] | None = None,
 ) -> _EpochForward:
@@ -341,7 +344,7 @@ def _epoch_forward(
     per permutation, or into fresh arrays when that is None.  Passing
     ``negatives`` freezes them, which is how the finite-difference suite
     evaluates the map the analytic gradient differentiates (negatives are
-    constants by design).  ``config`` is not read.
+    constants by design).
     """
     z1, cache_enc = mlp_forward(online, online_input)
     anchor, cache_pred = mlp_forward(predictor, z1)
@@ -367,7 +370,6 @@ def _epoch_backward(
     online: Mlp,
     predictor: Mlp,
     plan: EpochPlan,
-    config: TrainConfig,
     grads: Sequence[Mlp | None] = (None, None),
 ) -> tuple[Mlp, Mlp]:
     """Gradients for the online encoder and predictor, written into
@@ -375,7 +377,7 @@ def _epoch_backward(
 
     The neighbor positive is ``S @ anchor``, so its gradient reaches the
     anchor as ``S.T @ grad``; the structural positive belongs to the frozen
-    target and receives nothing.  ``config`` is not read.
+    target and receives nothing.
     """
     enc_out, pred_out = grads
     d_anchor = out.grad_anchor + plan.neighbor_op.T @ out.grad_positive_neighbor
@@ -424,8 +426,7 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
             permutations=[rng_shuffle.permutation(n) for _ in range(loss_cfg.k)],
         )
         fwd = _epoch_forward(
-            online, predictor, target, online_input, target_input, plan, config,
-            buffers=negatives,
+            online, predictor, target, online_input, target_input, plan, buffers=negatives,
         )
         # A NaN makes every hinge bracket test False, which would report a
         # loss of 0 instead of failing.
@@ -438,7 +439,7 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
             raise TrainingDivergedError(
                 f"non-finite loss {out.total} at epoch {epoch}"
             )
-        _epoch_backward(fwd, out, online, predictor, plan, config, grads)
+        _epoch_backward(fwd, out, online, predictor, plan, grads)
         adam_step(optimizer, trained, grads, config.lr)
         momentum_update(target, online, config.momentum)
         history[epoch - 1] = (epoch, out.total, out.l_struct, out.l_neighbor, out.l_upper)
@@ -498,8 +499,6 @@ def _config_from_lines(text: str) -> TrainConfig:
     kv = dict(line.partition("=")[::2] for line in text.splitlines() if line)
     try:
         config = config_from_values({h.name: h.parse(kv[h.name]) for h in HYPERPARAMETERS})
-        if min(len(config.encoder_dims), len(config.predictor_dims)) < 2:
-            raise ValueError("a network needs at least two layer widths")
         config.validate(config.encoder_dims[0])
     except KeyError as exc:
         raise CheckpointCorruptionError(f"metadata missing key {exc}") from exc

@@ -6,6 +6,7 @@ directory (``SNGCL_DATA`` or ``<repo>/data``) holding the usual
 """
 
 import os
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,19 @@ def sparse_feature_graph(seed: int = 0, n: int = 120, n_features: int = 200):
     features = (rng.random((n, n_features)) < 0.02).astype(np.float64)
     labels = rng.integers(0, 3, size=n)
     return build_graph(edges, features, labels=labels, n_classes=3)
+
+
+def assert_frozen(graph) -> None:
+    """A graph's fields cannot be reassigned and its arrays are read-only."""
+    adj = graph.adjacency
+    arrays = [graph.features, adj.data, adj.indices, adj.indptr]
+    if graph.labels is not None:
+        arrays.append(graph.labels)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(FrozenInstanceError):
+        graph.features = np.zeros_like(graph.features)
+    with pytest.raises(FrozenInstanceError):
+        graph.labels = None
 
 
 def dense_smooth_oracle(graph, t: int, mode: str) -> np.ndarray:

@@ -117,7 +117,7 @@ def _gradient_instance(seed: int):
             neighbor_idx=sample_neighbor_indices(g, config.loss.n_neighbors, rng),
             permutations=[rng.permutation(n) for _ in range(config.loss.k)],
         )
-        fwd = _epoch_forward(online, predictor, target, x_online, x_target, plan, config)
+        fwd = _epoch_forward(online, predictor, target, x_online, x_target, plan)
 
         hinge = _min_hinge_margin(fwd.batch, config.loss)
         kink = _min_relu_margin(fwd)
@@ -155,18 +155,16 @@ def test_criterion_02_end_to_end_gradients_match_finite_differences():
     for seed in range(6):
         g, config, online, predictor, target, x_on, x_tg, plan = _gradient_instance(seed)
 
-        fwd = _epoch_forward(online, predictor, target, x_on, x_tg, plan, config)
+        fwd = _epoch_forward(online, predictor, target, x_on, x_tg, plan)
         out = total_loss(fwd.batch, config.loss)
-        enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan, config)
+        enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan)
 
         # negatives are constants by design: freeze the base-point copies so
         # finite differences evaluate the same map the backward pass uses
         frozen = [neg.copy() for neg in fwd.batch.negatives]
 
         def loss_value():
-            f2 = _epoch_forward(
-                online, predictor, target, x_on, x_tg, plan, config, negatives=frozen
-            )
+            f2 = _epoch_forward(online, predictor, target, x_on, x_tg, plan, negatives=frozen)
             return total_loss(f2.batch, config.loss).total
 
         pairs = list(zip(online.params(), enc_grads.params()))
@@ -209,7 +207,7 @@ def test_criterion_03_target_follows_exact_momentum_recursion():
     # the optimizer owns exactly the online encoder + predictor tensors
     state = model.model
     n_trainable = len(state.online_encoder.params()) + len(state.predictor.params())
-    assert len(state.optimizer.m1) == n_trainable
+    assert len([m for net in state.optimizer.first for m in net.params()]) == n_trainable
     trainable_ids = {id(p) for p in state.online_encoder.params() + state.predictor.params()}
     assert all(id(p) not in trainable_ids for p in state.target_encoder.params())
 
@@ -331,7 +329,7 @@ def test_criterion_07_dual_views_beat_single_views():
             SplitSpec(train_per_class=20, val_total=20),
         )
         for mode in VIEW_MODES:
-            accs[mode].append(report.mean_test(mode))
+            accs[mode].append(report[mode].mean_test)
     means = {mode: float(np.mean(v)) for mode, v in accs.items()}
     both = means["both"]
     single_best = max(means["global-only"], means["local-only"])

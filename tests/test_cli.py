@@ -1,9 +1,12 @@
 """Exercise the command line surface through run_command."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from sngcl.cli import read_config_file, run_command
+from sngcl.cli import run_command
+from sngcl.data import read_key_values
 from sngcl.errors import ParseError
 from sngcl.training import HYPERPARAMETERS, config_values, load_checkpoint, save_checkpoint
 
@@ -281,6 +284,26 @@ def test_checkpoint_with_a_transposed_weight_exits_1(sbm_dir, tmp_path, capsys):
     assert err.startswith("error:") and "'online_encoder/w1' has shape (4, 8)" in err
 
 
+@pytest.mark.parametrize("width", [b"-5", b"0"])
+def test_checkpoint_with_a_width_below_one_exits_1(sbm_dir, tmp_path, capsys, width):
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
+    ckpt = run_dir / "model.ckpt"
+    raw = ckpt.read_bytes()
+    (meta_len,) = struct.unpack("<Q", raw[6:14])
+    dims = b"encoder_dims=16," + width + b",4"
+    meta = raw[14:14 + meta_len].replace(b"encoder_dims=16,8,4", dims)
+    ckpt.write_bytes(raw[:6] + struct.pack("<Q", len(meta)) + meta + raw[14 + meta_len:])
+    capsys.readouterr()
+    assert run_command([
+        "eval", "--data", str(sbm_dir), "--checkpoint", str(ckpt),
+        "--train-per-class", "5", "--val-total", "5", "--splits", "1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "encoder_dims must be >= 2 positive layer widths" in err
+
+
 def test_checkpoint_with_a_nan_weight_exits_1(sbm_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
@@ -366,7 +389,14 @@ def test_config_file_errors(tmp_path, sbm_dir):
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("epochs\n")
     with pytest.raises(ParseError, match="key=value"):
-        read_config_file(malformed)
+        read_key_values(malformed)
+
+    undecodable = tmp_path / "undecodable.cfg"
+    undecodable.write_bytes(b"epochs=2\n\xff=1\n")
+    assert run_command([
+        "train", "--data", str(sbm_dir), "--config", str(undecodable),
+        "--out", str(tmp_path / "m"),
+    ]) == 1
 
 
 def test_retired_anchor_and_normalization_settings_are_rejected(tmp_path, sbm_dir, capsys):
@@ -397,9 +427,9 @@ def test_an_empty_dims_list_in_the_config_file_is_rejected(tmp_path, sbm_dir, ca
 def test_read_config_file_parses_and_strips(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("  t = 4 \n\n# comment\nview_mode=global-only\n")
-    assert read_config_file(cfg) == {"t": "4", "view_mode": "global-only"}
+    assert read_key_values(cfg) == {"t": "4", "view_mode": "global-only"}
     with pytest.raises(ParseError, match="not found"):
-        read_config_file(tmp_path / "absent.cfg")
+        read_key_values(tmp_path / "absent.cfg")
 
 
 def test_preprocess_builds_canonical_dir_and_optional_views(tmp_path, capsys):

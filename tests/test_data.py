@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import assert_frozen
 
 import sngcl.data as data
 from sngcl.data import (
@@ -163,6 +164,35 @@ def test_canonical_detects_feature_width_mismatch(tmp_path):
     (tmp_path / "ds" / "features.tsv").write_text("1.0\n0.0\t1.0\n")
     with pytest.raises(IntegrityError, match="columns"):
         load_canonical(tmp_path / "ds")
+
+
+def test_canonical_rejects_a_label_below_minus_one(tmp_path):
+    g = build_graph([(0, 1), (1, 2)], np.eye(3), labels=np.array([0, 1, 0]))
+    save_canonical(g, tmp_path / "ds")
+    (tmp_path / "ds" / "labels.tsv").write_text("0\n-2\n1\n")
+    with pytest.raises(IntegrityError, match="label -2 of node 1"):
+        load_canonical(tmp_path / "ds")
+
+
+def test_an_undecodable_manifest_is_a_parse_error(tmp_path):
+    g = build_graph([(0, 1)], np.eye(2))
+    save_canonical(g, tmp_path / "ds")
+    (tmp_path / "ds" / "manifest.txt").write_bytes(b"n_nodes=\xff2\n")
+    with pytest.raises(ParseError, match="not an integer"):
+        load_canonical(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("loader", ["load_canonical", "generate_sbm", "load_planetoid"])
+def test_loaded_graphs_are_frozen(tmp_path, loader):
+    if loader == "load_canonical":
+        g = build_graph([(0, 1), (1, 2)], np.eye(3), labels=np.array([0, 1, -1]))
+        save_canonical(g, tmp_path / "ds")
+        graph = load_canonical(tmp_path / "ds")
+    elif loader == "generate_sbm":
+        graph = generate_sbm(SbmConfig(nodes_per_block=5, n_blocks=2))
+    else:
+        graph = load_planetoid(*write_planetoid(tmp_path)).graph
+    assert_frozen(graph)
 
 
 def test_canonical_manifest_parse_errors(tmp_path):

@@ -2,13 +2,21 @@
 
 import numpy as np
 import pytest
-from conftest import dense_smooth_oracle, random_graph, rel_err, sparse_feature_graph
+import scipy.sparse as sp
+from conftest import (
+    assert_frozen,
+    dense_smooth_oracle,
+    random_graph,
+    rel_err,
+    sparse_feature_graph,
+)
 
 from sngcl.errors import InputError
 from sngcl.graph import (
     MODES,
     RANDOM_WALK,
     SYMMETRIC,
+    Graph,
     build_graph,
     propagation_matrix,
     smooth_features,
@@ -43,6 +51,24 @@ def test_build_graph_label_checks():
         build_graph([(0, 1)], np.eye(3), labels=np.array([0, 1, 5]), n_classes=2)
     g = build_graph([(0, 1)], np.eye(3), labels=np.array([0, -1, 1]))
     assert g.n_classes == 2
+
+
+def test_build_graph_rejects_a_label_below_minus_one():
+    with pytest.raises(InputError, match=r"label -2 of node 0 lies outside \[-1, 2\)"):
+        build_graph([(0, 1), (1, 2)], np.eye(4), labels=[-2, 0, 1, 1], n_classes=2)
+
+
+def test_a_built_graph_is_frozen_and_leaves_the_given_arrays_writeable():
+    features, labels = np.eye(3), np.array([0, 1, -1])
+    g = build_graph([(0, 1), (1, 2)], features, labels=labels)
+    assert_frozen(g)
+    # the graph's arrays are views of the caller's, not copies
+    assert np.shares_memory(g.features, features) and np.shares_memory(g.labels, labels)
+    assert features.flags.writeable and labels.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g.features[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency.data[0] = 2.0
 
 
 def test_degrees_ignore_the_self_loop_augmentation():
@@ -125,8 +151,8 @@ def test_isolated_node_keeps_its_features_at_any_depth():
 
 def test_random_walk_smoothing_preserves_constant_features():
     rng = np.random.default_rng(3)
-    g = random_graph(rng, n=20, p=0.2, n_features=1)
-    g.features[:] = 1.0
+    edges = np.argwhere(random_graph(rng, n=20, p=0.2, n_features=1).adjacency.toarray())
+    g = build_graph(edges, np.ones((20, 1)))
     np.testing.assert_allclose(smooth_features(g, 3, RANDOM_WALK), 1.0, atol=1e-12)
 
 
@@ -137,14 +163,12 @@ def test_unknown_mode_and_negative_depth_are_rejected(path_graph):
         smooth_features(path_graph, -1, RANDOM_WALK)
 
 
-def test_validate_rejects_asymmetric_or_self_looped_adjacency(path_graph):
-    g = build_graph([(0, 1), (1, 2)], np.eye(3))
-    g.adjacency[0, 1] = 0.0
-    g.adjacency.eliminate_zeros()
+def test_validate_rejects_asymmetric_or_self_looped_adjacency():
+    # the path 0 - 1 - 2 without its (0, 1) entry
+    g = Graph(sp.csr_matrix([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), np.eye(3))
     with pytest.raises(InputError, match="symmetric"):
         g.validate()
-    h = build_graph([(0, 1)], np.eye(2))
-    h.adjacency.setdiag(1.0)
+    h = Graph(sp.csr_matrix(np.ones((2, 2))), np.eye(2))  # the edge (0, 1) with self-loops
     with pytest.raises(InputError, match="self-loops"):
         h.validate()
 

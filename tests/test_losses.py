@@ -254,7 +254,7 @@ def test_shuffle_negatives_are_row_permutations_of_the_anchor(sbm_tiny):
             neighbor_idx=sample_neighbor_indices(sbm_tiny, 2, stream_rng(0, "neighbor")),
             permutations=[shuffle.permutation(sbm_tiny.n_nodes) for _ in range(4)],
         )
-        fwd = _epoch_forward(online, predictor, online, x, x, plan, config)
+        fwd = _epoch_forward(online, predictor, online, x, x, plan)
         return fwd.batch.anchor, fwd.batch.negatives
 
     anchor, negs = negatives()

@@ -219,7 +219,9 @@ def test_adam_is_bitwise_equal_to_the_allocating_formula():
         _reference_adam_step(
             ref, [g for net in grads for g in net.params()], ref_m1, ref_m2, t, 1e-3
         )
-        for got, want in zip(params + state.m1 + state.m2, ref + ref_m1 + ref_m2):
+        m1 = [m for net in state.first for m in net.params()]
+        m2 = [m for net in state.second for m in net.params()]
+        for got, want in zip(params + m1 + m2, ref + ref_m1 + ref_m2):
             assert got.tobytes() == want.tobytes()
 
 
@@ -317,7 +319,10 @@ def test_trainable_params_exclude_the_target_network():
         optimizer=init_adam([online, predictor]),
     )
     trainable = online.params() + predictor.params()
-    assert len(state.optimizer.m1) == len(state.optimizer.m2) == len(trainable)
+    opt = state.optimizer
+    m1 = [m for net in opt.first for m in net.params()]
+    m2 = [m for net in opt.second for m in net.params()]
+    assert len(m1) == len(m2) == len(trainable)
     assert len(trainable) == 4
     for t_param in target.params():
         assert all(t_param is not p for p in trainable)

@@ -343,9 +343,9 @@ def test_factorised_epoch_matches_the_dense_epoch(view_mode):
     online, predictor, _ = nets
     results = []
     for inputs in (dense, operators):
-        fwd = _epoch_forward(*nets, *inputs, plan, config)
+        fwd = _epoch_forward(*nets, *inputs, plan)
         out = total_loss(fwd.batch, config.loss)
-        enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan, config)
+        enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan)
         results.append((fwd, out, enc_grads.params() + pred_grads.params()))
     (fwd_d, out_d, grads_d), (fwd_o, out_o, grads_o) = results
     assert isinstance(operators[0], SmoothedOperator)
@@ -360,13 +360,13 @@ def test_factorised_epoch_matches_the_dense_epoch(view_mode):
 def test_factorised_epoch_gradients_match_finite_differences(view_mode):
     config, nets, plan, _, operators = _sparse_epoch_instance(view_mode)
     online, predictor, _ = nets
-    fwd = _epoch_forward(*nets, *operators, plan, config)
+    fwd = _epoch_forward(*nets, *operators, plan)
     out = total_loss(fwd.batch, config.loss)
-    enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan, config)
+    enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan)
     frozen = [neg.copy() for neg in fwd.batch.negatives]
 
     def loss_value():
-        f = _epoch_forward(*nets, *operators, plan, config, negatives=frozen)
+        f = _epoch_forward(*nets, *operators, plan, negatives=frozen)
         return total_loss(f.batch, config.loss).total
 
     pairs = list(zip(online.params(), enc_grads.params()))
@@ -379,12 +379,12 @@ def test_factorised_epoch_gradients_match_finite_differences(view_mode):
 
 def test_negatives_are_gathered_into_the_given_buffers_and_never_shared():
     config, nets, plan, dense, _ = _sparse_epoch_instance(VIEW_BOTH)
-    first = _epoch_forward(*nets, *dense, plan, config)
-    second = _epoch_forward(*nets, *dense, plan, config)
+    first = _epoch_forward(*nets, *dense, plan)
+    second = _epoch_forward(*nets, *dense, plan)
     for a in first.batch.negatives:
         assert not any(np.shares_memory(a, b) for b in second.batch.negatives)
     buffers = [np.full_like(first.batch.anchor, np.nan) for _ in plan.permutations]
-    third = _epoch_forward(*nets, *dense, plan, config, buffers=buffers)
+    third = _epoch_forward(*nets, *dense, plan, buffers=buffers)
     assert all(got is buf for got, buf in zip(third.batch.negatives, buffers, strict=True))
     for perm, got, fresh in zip(plan.permutations, buffers, first.batch.negatives):
         assert got.tobytes() == fresh.tobytes() == third.batch.anchor[perm].tobytes()
@@ -487,6 +487,17 @@ def test_checkpoint_metadata_errors_are_corruption():
     ):
         with pytest.raises(CheckpointCorruptionError, match="malformed"):
             training._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("encoder_dims=16,512,256", "encoder_dims=16,-5,256"),
+    ("encoder_dims=16,512,256", "encoder_dims=16,0,256"),
+    ("predictor_dims=256,512,256", "predictor_dims=256,0,256"),
+])
+def test_checkpoint_metadata_with_a_width_below_one_is_corruption(old, new):
+    name = new.partition("=")[0]
+    with pytest.raises(CheckpointCorruptionError, match=f"{name} must be >= 2 positive"):
+        training._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
 
 
 def test_checkpoint_roundtrip_preserves_everything(tmp_path, sbm_tiny):
@@ -601,8 +612,9 @@ def test_checkpoint_with_optimizer_state_still_loads(tmp_path, sbm_tiny):
         mlp = getattr(state, net)
         for l in range(mlp.n_layers):
             items += [(f"{net}/w{l}", mlp.weights[l]), (f"{net}/b{l}", mlp.biases[l])]
-    items += [(f"optimizer/m1/{i}", m) for i, m in enumerate(opt.m1)]
-    items += [(f"optimizer/m2/{i}", m) for i, m in enumerate(opt.m2)]
+    for key, moments in (("m1", opt.first), ("m2", opt.second)):
+        tensors = [m for net in moments for m in net.params()]
+        items += [(f"optimizer/{key}/{i}", m) for i, m in enumerate(tensors)]
     items += [("optimizer/step", np.array([float(opt.step)])), ("history", model.history)]
     meta = training._config_to_lines(model.config).replace(
         "\nencoder_dims=", "\nnormalize_embeddings=1\nanchor_mode=encoder\nencoder_dims="
