@@ -11,14 +11,11 @@ testable entry point; it returns the process exit code instead of calling
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
-
-import numpy as np
 
 from .data import (
     SbmConfig,
@@ -31,16 +28,17 @@ from .data import (
 )
 from .errors import InputError, ParseError, SngclError
 from .evaluation import EvalReport, SplitSpec, evaluate_embeddings, run_ablation
-from .graph import RANDOM_WALK, SYMMETRIC, smooth_features
+from .graph import smooth_features
 from .training import (
     EMBED_MODES,
     EMBED_ONLINE_LOCAL,
     HYPERPARAMETERS,
+    VIEW_BOTH,
+    VIEW_FILTERS,
     TrainConfig,
     _config_to_lines,
     _replacing,
     config_from_values,
-    config_values,
     encode,
     int_list,
     load_checkpoint,
@@ -127,10 +125,8 @@ def cmd_preprocess(args) -> int:
     if args.views_out is not None:
         out = Path(args.views_out)
         out.mkdir(parents=True, exist_ok=True)
-        for name, mode in (("x_global.tsv", RANDOM_WALK), ("x_local.tsv", SYMMETRIC)):
-            x = smooth_features(g, args.t, mode)
-            with _replacing(out / name) as f:
-                np.savetxt(f, x, fmt="%.17g", delimiter="\t")
+        for name, mode in zip(("x_local.tsv", "x_global.tsv"), VIEW_FILTERS[VIEW_BOTH]):
+            export_embeddings(out / name, smooth_features(g, args.t, mode))
         print(f"smoothed views (t={args.t}) -> {out}")
     return 0
 
@@ -240,12 +236,11 @@ def cmd_ablate(args) -> int:
     reports = run_ablation(graph, config, args.train_seeds, spec, embed_output=args.embedding)
     for mode, r in reports.items():
         _warn(r, f"{mode}: ")
-    values = config_values(config.resolved(graph.n_features))
     metadata = [
         "command=ablate",
         f"data={args.data}",
         "train_seeds=" + ",".join(str(s) for s in args.train_seeds),
-        *(f"{h.name}={h.format(values[h.name])}" for h in args.hyperparameters),
+        *_config_to_lines(config.resolved(graph.n_features), args.hyperparameters).splitlines(),
         f"train_per_class={spec.train_per_class}",
         f"val_total={spec.val_total}",
         f"embedding={args.embedding}",
@@ -342,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--views-out", default=None, metavar="DIR",
         help="also write the two smoothed feature matrices as TSV here",
     )
-    p.add_argument("--t", type=int, default=3, help="smoothing depth for --views-out")
+    p.add_argument("--t", type=int, default=TrainConfig.t, help="smoothing depth for --views-out")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser(
@@ -426,5 +421,4 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     sys.exit(run_command(sys.argv[1:]))

@@ -6,7 +6,6 @@ read with ``np.loadtxt`` and written with ``np.savetxt``."""
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,19 +17,13 @@ from .errors import InputError, IntegrityError, ParseError
 from .graph import Graph, build_graph
 from .training import _replacing
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class PlanetoidLoadResult:
-    """A parsed citation network plus bookkeeping from the raw files."""
+    """A parsed citation network and its count of skipped citation lines."""
 
     graph: Graph
-    paper_ids: list[str]
-    label_names: list[str]
-    n_citation_lines: int
     n_dangling: int
-    n_self_citations: int
 
 
 def load_planetoid(content_path, cites_path, row_normalize: bool = True) -> PlanetoidLoadResult:
@@ -39,8 +32,9 @@ def load_planetoid(content_path, cites_path, row_normalize: bool = True) -> Plan
     ``cited citing`` pair per line.
 
     Node and class indices follow first appearance in the content file.
-    Citation lines naming unknown ids are skipped (counted and warned
-    about), self-citations are dropped, and the rest are symmetrized.
+    Citation lines naming unknown ids are skipped and counted; the rest
+    become edges as :func:`~sngcl.graph.build_graph` makes them, so
+    self-citations are dropped and each pair is symmetrized.
     """
     content_path = Path(content_path)
     cites_path = Path(cites_path)
@@ -82,9 +76,7 @@ def load_planetoid(content_path, cites_path, row_normalize: bool = True) -> Plan
         raise ParseError(f"{content_path}: no records")
 
     edges: list[tuple[int, int]] = []
-    n_lines = 0
     n_dangling = 0
-    n_self = 0
     with open(cites_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.split()
@@ -94,37 +86,17 @@ def load_planetoid(content_path, cites_path, row_normalize: bool = True) -> Plan
                 raise ParseError(
                     f"{cites_path}:{lineno}: expected two ids, got {len(parts)} fields"
                 )
-            n_lines += 1
             if parts[0] not in ids or parts[1] not in ids:
                 n_dangling += 1
                 continue
-            i, j = ids[parts[0]], ids[parts[1]]
-            if i == j:
-                n_self += 1
-                continue
-            edges.append((i, j))
-    if n_dangling:
-        logger.warning(
-            "%s: skipped %d citation line(s) naming ids absent from %s",
-            cites_path, n_dangling, content_path.name,
-        )
+            edges.append((ids[parts[0]], ids[parts[1]]))
 
     x = np.vstack(rows)
     if row_normalize:
         sums = x.sum(axis=1, keepdims=True)
         np.divide(x, sums, out=x, where=sums > 0)
     graph = build_graph(edges, x, labels=np.array(labels), n_classes=len(label_ids))
-    label_names = [None] * len(label_ids)
-    for name, idx in label_ids.items():
-        label_names[idx] = name
-    return PlanetoidLoadResult(
-        graph=graph,
-        paper_ids=list(ids),
-        label_names=label_names,
-        n_citation_lines=n_lines,
-        n_dangling=n_dangling,
-        n_self_citations=n_self,
-    )
+    return PlanetoidLoadResult(graph=graph, n_dangling=n_dangling)
 
 
 # --- canonical directory format --------------------------------------------
@@ -282,6 +254,8 @@ class SbmConfig:
             )
         if self.noise_std < 0:
             raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 SBM_ROWS_PER_DRAW = 1024

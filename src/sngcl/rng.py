@@ -21,6 +21,8 @@ STREAMS = {
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """Generator for one named substream of ``seed``."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if stream not in STREAMS:
         raise InputError(f"unknown rng stream {stream!r}; known: {sorted(STREAMS)}")
     # the trailing 0 is part of every stream's key; dropping it changes every run

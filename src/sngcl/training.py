@@ -490,9 +490,9 @@ _MAX_NAME = 1 << 16
 _MAX_RANK = 8
 
 
-def _config_to_lines(config: TrainConfig) -> str:
+def _config_to_lines(config: TrainConfig, rows=HYPERPARAMETERS) -> str:
     values = config_values(config)
-    return "".join(f"{h.name}={h.format(values[h.name])}\n" for h in HYPERPARAMETERS)
+    return "".join(f"{h.name}={h.format(values[h.name])}\n" for h in rows)
 
 
 def _config_from_lines(text: str) -> TrainConfig:
@@ -638,6 +638,14 @@ def load_checkpoint(path) -> TrainedModel:
         if meta_len > (1 << 24):
             raise CheckpointCorruptionError(f"implausible metadata length {meta_len}")
         config = _config_from_lines(_read_utf8(f, meta_len, "metadata"))
+        # the two encoders and the epochs x 5 history, checked before either is allocated
+        dims = config.encoder_dims
+        n_bytes = 8 * (2 * sum((a + 1) * b for a, b in zip(dims, dims[1:])) + 5 * config.epochs)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if n_bytes > left:
+            raise CheckpointCorruptionError(
+                f"truncated checkpoint: the metadata implies {n_bytes} tensor bytes, {left} left"
+            )
         model = TrainedModel(
             model=ModelState(
                 online_encoder=Mlp.unset(config.encoder_dims),
@@ -656,10 +664,6 @@ HISTORY_HEADER = "epoch\tloss\tl_struct\tl_neighbor\tl_upper"
 
 def write_history(path, history: np.ndarray) -> None:
     """Loss history as TSV with lossless float formatting."""
-    lines = [HISTORY_HEADER]
-    for row in history:
-        lines.append(
-            "\t".join([str(int(row[0]))] + [f"{v:.17g}" for v in row[1:]])
-        )
     with _replacing(path) as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        fmt = ["%d"] + ["%.17g"] * 4
+        np.savetxt(f, history, fmt=fmt, delimiter="\t", header=HISTORY_HEADER, comments="")

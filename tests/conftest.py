@@ -6,6 +6,7 @@ directory (``SNGCL_DATA`` or ``<repo>/data``) holding the usual
 """
 
 import os
+import struct
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -126,3 +127,14 @@ def sbm_tiny():
     return generate_sbm(
         SbmConfig(nodes_per_block=30, n_blocks=2, p_in=0.2, p_out=0.02, seed=7)
     )
+
+
+def rewrite_checkpoint_metadata(path, old: bytes, new: bytes) -> None:
+    """Replace ``old`` by ``new`` in a checkpoint's metadata block, keeping
+    its length prefix right and its tensor records as they are."""
+    raw = Path(path).read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", raw, 6)
+    meta = raw[14:14 + meta_len]
+    assert old in meta
+    meta = meta.replace(old, new)
+    Path(path).write_bytes(raw[:6] + struct.pack("<Q", len(meta)) + meta + raw[14 + meta_len:])

@@ -1,14 +1,26 @@
 """Exercise the command line surface through run_command."""
 
-import struct
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rewrite_checkpoint_metadata
 
+import sngcl
 from sngcl.cli import run_command
-from sngcl.data import read_key_values
+from sngcl.data import load_canonical, read_key_values
 from sngcl.errors import ParseError
-from sngcl.training import HYPERPARAMETERS, config_values, load_checkpoint, save_checkpoint
+from sngcl.graph import RANDOM_WALK, SYMMETRIC, smooth_features
+from sngcl.training import (
+    HYPERPARAMETERS,
+    TrainConfig,
+    config_values,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 @pytest.fixture()
@@ -27,6 +39,17 @@ TRAIN_FAST = [
     "--encoder-dims", "16,8,4",
     "--predictor-dims", "4,6,4",
 ]
+
+
+def _sngcl(*argv, cwd) -> subprocess.CompletedProcess:
+    """Run the ``sngcl`` script's entry point in a fresh interpreter, so
+    stderr holds everything the process prints, tracebacks and log lines
+    included."""
+    return subprocess.run(
+        [sys.executable, "-c", "from sngcl.cli import main; main()", *map(str, argv)],
+        capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(Path(sngcl.__file__).parents[1])},
+    )
 
 
 def test_gen_sbm_writes_a_loadable_dataset(sbm_dir, capsys):
@@ -289,11 +312,7 @@ def test_checkpoint_with_a_width_below_one_exits_1(sbm_dir, tmp_path, capsys, wi
     run_dir = tmp_path / "run"
     assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
     ckpt = run_dir / "model.ckpt"
-    raw = ckpt.read_bytes()
-    (meta_len,) = struct.unpack("<Q", raw[6:14])
-    dims = b"encoder_dims=16," + width + b",4"
-    meta = raw[14:14 + meta_len].replace(b"encoder_dims=16,8,4", dims)
-    ckpt.write_bytes(raw[:6] + struct.pack("<Q", len(meta)) + meta + raw[14 + meta_len:])
+    rewrite_checkpoint_metadata(ckpt, b"encoder_dims=16,8,4", b"encoder_dims=16," + width + b",4")
     capsys.readouterr()
     assert run_command([
         "eval", "--data", str(sbm_dir), "--checkpoint", str(ckpt),
@@ -302,6 +321,43 @@ def test_checkpoint_with_a_width_below_one_exits_1(sbm_dir, tmp_path, capsys, wi
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "encoder_dims must be >= 2 positive layer widths" in err
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"epochs=1\n", b"epochs=100000000000000\n"),
+    (b"encoder_dims=16,512,256\n", b"encoder_dims=16,5120000000,256\n"),
+])
+def test_checkpoint_implying_more_bytes_than_it_holds_exits_1(
+    sbm_dir, tmp_path, capsys, old, new
+):
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), "--epochs", "1", "--out", str(run_dir)]) == 0
+    rewrite_checkpoint_metadata(run_dir / "model.ckpt", old, new)
+    capsys.readouterr()
+    assert run_command([
+        "eval", "--data", str(sbm_dir), "--checkpoint", str(run_dir / "model.ckpt"),
+        "--train-per-class", "5", "--val-total", "5", "--splits", "1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truncated checkpoint: the metadata implies")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-sbm", "--seed", "-1", "--out", "neg"],
+    ["train", "--data", "{data}", "--seed", "-1", "--epochs", "1", "--out", "neg"],
+    ["train", "--data", "{data}", "--config", "{config}", "--out", "neg"],
+    ["ablate", "--data", "{data}", "--train-seeds", "-1", "--epochs", "1",
+     "--train-per-class", "5", "--val-total", "5"],
+], ids=["gen-sbm", "train", "train-config", "ablate"])
+def test_a_negative_seed_exits_1_without_a_traceback(sbm_dir, tmp_path, argv):
+    config = tmp_path / "neg.cfg"
+    config.write_text("seed=-1\nepochs=1\n")
+    out = _sngcl(*(a.format(data=sbm_dir, config=config) for a in argv), cwd=tmp_path)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "neg").exists()
 
 
 def test_checkpoint_with_a_nan_weight_exits_1(sbm_dir, tmp_path, capsys):
@@ -460,6 +516,32 @@ def test_preprocess_builds_canonical_dir_and_optional_views(tmp_path, capsys):
         written = np.loadtxt(views_dir / name, delimiter="\t")
         assert written.shape == (3, 2)
         np.testing.assert_array_equal(written, smooth_features(g, 2, mode))
+
+
+def test_preprocess_views_default_to_the_training_depth(tmp_path, capsys):
+    content, cites = _planetoid_toy(tmp_path, 1)
+    views = tmp_path / "views"
+    assert run_command([
+        "preprocess", "--content", str(content), "--cites", str(cites),
+        "--out", str(tmp_path / "toy"), "--views-out", str(views),
+    ]) == 0
+    t = TrainConfig().t
+    assert f"smoothed views (t={t})" in capsys.readouterr().out
+    g = load_canonical(tmp_path / "toy")
+    for name, mode in (("x_global.tsv", RANDOM_WALK), ("x_local.tsv", SYMMETRIC)):
+        written = np.loadtxt(views / name, delimiter="\t")
+        np.testing.assert_array_equal(written, smooth_features(g, t, mode))
+
+
+def test_preprocess_reports_skipped_citations_once_on_stdout(tmp_path):
+    content, cites = _planetoid_toy(tmp_path, 1)
+    cites.write_text("p1\tp2\np9\tp1\np2\tp3\n")  # p9 is no paper
+    out = _sngcl(
+        "preprocess", "--content", content, "--cites", cites, "--out", "toy", cwd=tmp_path
+    )
+    assert out.returncode == 0
+    assert out.stdout.count("skipped 1") == 1
+    assert out.stderr == ""
 
 
 def test_ablate_reports_all_view_modes(sbm_dir, tmp_path):

@@ -1,7 +1,6 @@
 """Citation-file parsing, the canonical directory format, SBM generation,
 and embedding export."""
 
-import logging
 import warnings
 
 import numpy as np
@@ -49,8 +48,6 @@ def write_planetoid(tmp_path, content=CONTENT, cites=CITES):
 def test_load_planetoid_first_appearance_indexing(tmp_path):
     content_path, cites_path = write_planetoid(tmp_path)
     result = load_planetoid(content_path, cites_path, row_normalize=False)
-    assert result.paper_ids == ["paper_a", "paper_b", "paper_c", "paper_d"]
-    assert result.label_names == ["theory", "systems", "ml"]
     g = result.graph
     assert g.labels.tolist() == [0, 1, 0, 2]
     assert g.n_classes == 3
@@ -60,17 +57,13 @@ def test_load_planetoid_first_appearance_indexing(tmp_path):
     )
 
 
-def test_load_planetoid_symmetrizes_and_cleans_citations(tmp_path, caplog):
+def test_load_planetoid_symmetrizes_and_cleans_citations(tmp_path):
     content_path, cites_path = write_planetoid(tmp_path)
-    with caplog.at_level(logging.WARNING):
-        result = load_planetoid(content_path, cites_path)
+    result = load_planetoid(content_path, cites_path)
     # a<->b collapses to one undirected edge; c-a and d-c survive; the
     # self-citation and the dangling paper_x line are dropped.
     assert result.graph.adjacency.nnz // 2 == 3
-    assert result.n_citation_lines == 6
     assert result.n_dangling == 1
-    assert result.n_self_citations == 1
-    assert any("skipped 1" in rec.getMessage() for rec in caplog.records)
 
 
 def test_load_planetoid_row_normalizes_by_default(tmp_path):

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import numeric_grad, rel_err, sparse_feature_graph
+from conftest import numeric_grad, rel_err, rewrite_checkpoint_metadata, sparse_feature_graph
 
 import sngcl.graph as graph_module
 import sngcl.training as training
@@ -567,6 +567,21 @@ def test_checkpoint_rejects_mid_tensor_truncation(tmp_path, sbm_tiny):
         load_checkpoint(clipped)
 
 
+# Both sizes lie far beyond what the file holds; numpy refuses to allocate
+# either, so a reader that allocated before checking would fail with a
+# MemoryError instead.
+@pytest.mark.parametrize("old, new", [
+    (b"epochs=1\n", b"epochs=100000000000000\n"),
+    (b"encoder_dims=16,512,256\n", b"encoder_dims=16,5120000000,256\n"),
+])
+def test_checkpoint_implying_more_bytes_than_it_holds_is_corrupt(tmp_path, sbm_tiny, old, new):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(train(sbm_tiny, TrainConfig(epochs=1)), path)
+    rewrite_checkpoint_metadata(path, old, new)
+    with pytest.raises(CheckpointCorruptionError, match="truncated checkpoint: the metadata implies"):
+        load_checkpoint(path)
+
+
 def _records(raw: bytes) -> list[tuple[str, int, int, int]]:
     """(name, start, data offset, end) of each tensor record of a checkpoint,
     read with the format's layout written out here independently."""
@@ -808,12 +823,16 @@ def test_failed_history_write_leaves_the_previous_file_in_place(tmp_path, sbm_ti
 
 def test_write_history_round_trips_values(tmp_path, sbm_tiny):
     model = train(sbm_tiny, small_config(epochs=3))
+    history = np.vstack([model.history, [4, 0.0, 1e-300, 123456789.123456789, -2.5]])
     path = tmp_path / "history.tsv"
-    write_history(path, model.history)
+    write_history(path, history)
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch\tloss\tl_struct\tl_neighbor\tl_upper"
-    assert len(lines) == 4
+    assert len(lines) == 5
     parsed = np.array(
         [[float(v) for v in line.split("\t")] for line in lines[1:]]
     )
-    np.testing.assert_array_equal(parsed, model.history)
+    np.testing.assert_array_equal(parsed, history)
+    # byte for byte what a per-row formatting loop writes
+    rows = ["\t".join([str(int(row[0]))] + [f"{v:.17g}" for v in row[1:]]) for row in history]
+    assert path.read_bytes() == "".join(line + "\n" for line in [lines[0], *rows]).encode()
