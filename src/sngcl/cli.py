@@ -114,8 +114,11 @@ def cmd_gen_sbm(args) -> int:
 
 def cmd_preprocess(args) -> int:
     result = load_planetoid(args.content, args.cites, row_normalize=not args.raw_features)
-    save_canonical(result.graph, args.out)
     g = result.graph
+    # both views are smoothed before anything is written, so a bad --t writes nothing
+    if args.views_out is not None:
+        views = [smooth_features(g, args.t, mode) for mode in VIEW_FILTERS[VIEW_BOTH]]
+    save_canonical(g, args.out)
     print(
         f"{g.n_nodes} nodes, {g.n_features} features, {g.n_classes} classes, "
         f"{g.adjacency.nnz // 2} undirected edges -> {args.out}"
@@ -125,8 +128,8 @@ def cmd_preprocess(args) -> int:
     if args.views_out is not None:
         out = Path(args.views_out)
         out.mkdir(parents=True, exist_ok=True)
-        for name, mode in zip(("x_local.tsv", "x_global.tsv"), VIEW_FILTERS[VIEW_BOTH]):
-            export_embeddings(out / name, smooth_features(g, args.t, mode))
+        for name, x in zip(("x_local.tsv", "x_global.tsv"), views):
+            export_embeddings(out / name, x)
         print(f"smoothed views (t={args.t}) -> {out}")
     return 0
 

@@ -158,9 +158,12 @@ def _manifest_int(kv: dict, key: str, path: Path) -> int:
     if key not in kv:
         raise ParseError(f"{path}: missing {key}")
     try:
-        return int(kv[key])
+        value = int(kv[key])
     except ValueError as exc:
         raise ParseError(f"{path}: {key}={kv[key]!r} is not an integer") from exc
+    if value < 0:
+        raise ParseError(f"{path}: {key}={value} is negative")
+    return value
 
 
 def _read_table(

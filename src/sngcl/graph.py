@@ -70,6 +70,8 @@ class Graph:
 
     def validate(self) -> None:
         n = self.n_nodes
+        if n == 0:
+            raise InputError("graph has no nodes")
         if self.adjacency.shape != (n, n):
             raise InputError("adjacency must be square")
         if self.features.shape[0] != n:

@@ -3,11 +3,12 @@
 L = omega1 * L_S + omega2 * L_N + L_U is one improved triplet loss, and its
 three hinge terms share the anchor's squared Euclidean distances to the
 structural positive, to the neighbor positive and to each negative.
-``total_loss`` computes each of those once, in one pass over the negatives,
-derives the three hinge masks from them, and forms the input gradients from
-per-row coefficients.  The negatives are treated as constants even though
-their rows alias anchor rows, so no gradient is ever routed through a
-permutation.  At an exactly-zero hinge bracket the subgradient 0 is chosen.
+``total_loss`` computes each of those once, in one pass that gathers each
+negative into the same buffer, derives the three hinge masks from them, and
+forms the input gradients from per-row coefficients.  The negatives are
+treated as constants even though their rows alias anchor rows, so no
+gradient is ever routed through a permutation.  At an exactly-zero hinge
+bracket the subgradient 0 is chosen.
 
 The neighbor positive is linear in the anchor: ``S @ anchor`` for the sparse
 row-stochastic sampling operator S of :func:`neighbor_operator`, whose
@@ -57,23 +58,26 @@ class LossConfig:
 
 @dataclass
 class EmbeddingBatch:
-    """Anchor, the two positives, and the k shuffled negatives (all n x d)."""
+    """Anchor and positives (n x d); negative j is ``negative_rows[permutations[j]]``."""
 
     anchor: np.ndarray
     positive_struct: np.ndarray
     positive_neighbor: np.ndarray
-    negatives: list[np.ndarray]
+    negative_rows: np.ndarray
+    permutations: list[np.ndarray]
 
     def validate(self) -> None:
         shape = self.anchor.shape
         for name in ("positive_struct", "positive_neighbor"):
             if getattr(self, name).shape != shape:
                 raise InputError(f"{name} shape != anchor shape {shape}")
-        if not self.negatives:
+        if not self.permutations:
             raise InputError("need at least one negative")
-        for i, neg in enumerate(self.negatives):
-            if neg.shape != shape:
-                raise InputError(f"negative {i} shape != anchor shape {shape}")
+        # the gather clips, so an index out of range would pass silently
+        rows = len(self.negative_rows)
+        for i, perm in enumerate(self.permutations):
+            if perm.shape != shape[:1] or ((perm < 0) | (perm >= rows)).any():
+                raise InputError(f"permutation {i} must hold {shape[0]} indices in [0, {rows})")
 
 
 def sample_neighbor_indices(
@@ -157,7 +161,7 @@ def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
     """
     batch.validate()
     anchor = batch.anchor
-    n, k = anchor.shape[0], len(batch.negatives)
+    n, k = anchor.shape[0], len(batch.permutations)
     diff_s = anchor - batch.positive_struct
     diff_n = anchor - batch.positive_neighbor
     sq_s, sq_n = _row_sq(diff_s), _row_sq(diff_n)
@@ -167,8 +171,11 @@ def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
     # positive differences, neg_term the weighted negative differences.
     coef_s, coef_n = np.zeros(n), np.zeros(n)
     neg_term = np.zeros_like(anchor)
-    for neg in batch.negatives:
-        diff = anchor - neg
+    diff = np.empty_like(anchor)
+    for perm in batch.permutations:
+        # validate() checked the range; mode="raise" would gather into a temporary
+        np.take(batch.negative_rows, perm, axis=0, mode="clip", out=diff)
+        np.subtract(anchor, diff, out=diff)
         sq = _row_sq(diff)
         b_s = sq_s - sq + cfg.alpha
         b_n = sq_n - sq + cfg.alpha

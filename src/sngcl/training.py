@@ -25,11 +25,12 @@ import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     CheckpointCorruptionError,
@@ -136,6 +137,8 @@ class TrainConfig:
             raise InputError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.momentum <= 1.0:
             raise InputError(f"momentum must lie in [0, 1], got {self.momentum}")
+        if self.seed < 0:  # the message of stream_rng, which ablate's split seeds reach first
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         _view_filters(self.view_mode)
         if self.encoder_dims is None or self.predictor_dims is None:
             raise InputError("dims must be resolved before validation")
@@ -308,16 +311,12 @@ def resolve_view_inputs(
 
 @dataclass
 class EpochPlan:
-    """Frozen stochastic choices for one epoch: sampled neighbor indices and
-    the row permutations generating the negatives."""
+    """Frozen stochastic choices for one epoch: the neighbor sampling
+    operator S (the neighbor positive is ``S @ anchor``) and the row
+    permutations generating the negatives."""
 
-    neighbor_idx: np.ndarray
+    neighbor_op: sp.csr_matrix
     permutations: list[np.ndarray]
-
-    @cached_property
-    def neighbor_op(self):
-        """The sampling operator S: the neighbor positive is ``S @ anchor``."""
-        return neighbor_operator(self.neighbor_idx)
 
 
 @dataclass
@@ -334,32 +333,19 @@ def _epoch_forward(
     online_input: np.ndarray | SmoothedOperator,
     target_input: np.ndarray | SmoothedOperator,
     plan: EpochPlan,
-    negatives: list[np.ndarray] | None = None,
-    buffers: list[np.ndarray] | None = None,
 ) -> _EpochForward:
-    """One epoch's forward map.
-
-    When ``negatives`` is None they are gathered from the current anchor via
-    ``plan.permutations`` into ``buffers``, one array shaped like the anchor
-    per permutation, or into fresh arrays when that is None.  Passing
-    ``negatives`` freezes them, which is how the finite-difference suite
-    evaluates the map the analytic gradient differentiates (negatives are
-    constants by design).
-    """
+    """One epoch's forward map.  The negatives are the anchor's rows under
+    ``plan.permutations``; a batch whose ``negative_rows`` is a copy of the
+    anchor holds them constant, as the analytic gradient does."""
     z1, cache_enc = mlp_forward(online, online_input)
     anchor, cache_pred = mlp_forward(predictor, z1)
     positive_struct, _ = mlp_forward(target, target_input)
-    if negatives is None:
-        negatives = buffers or [np.empty_like(anchor) for _ in plan.permutations]
-        for perm, out in zip(plan.permutations, negatives, strict=True):
-            # a permutation is always in range; mode="raise" would gather
-            # into a temporary and copy that into ``out``
-            np.take(anchor, perm, axis=0, mode="clip", out=out)
     batch = EmbeddingBatch(
         anchor=anchor,
         positive_struct=positive_struct,
         positive_neighbor=plan.neighbor_op @ anchor,
-        negatives=negatives,
+        negative_rows=anchor,
+        permutations=plan.permutations,
     )
     return _EpochForward(cache_enc=cache_enc, cache_pred=cache_pred, batch=batch)
 
@@ -417,17 +403,14 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
         optimizer=optimizer,
     )
 
-    n = graph.n_nodes
-    negatives = [np.empty((n, config.encoder_dims[-1])) for _ in range(loss_cfg.k)]
     history = np.empty((config.epochs, 5))
     for epoch in range(1, config.epochs + 1):
+        idx = sample_neighbor_indices(graph, loss_cfg.n_neighbors, rng_neighbor)
         plan = EpochPlan(
-            neighbor_idx=sample_neighbor_indices(graph, loss_cfg.n_neighbors, rng_neighbor),
-            permutations=[rng_shuffle.permutation(n) for _ in range(loss_cfg.k)],
+            neighbor_op=neighbor_operator(idx),
+            permutations=[rng_shuffle.permutation(graph.n_nodes) for _ in range(loss_cfg.k)],
         )
-        fwd = _epoch_forward(
-            online, predictor, target, online_input, target_input, plan, buffers=negatives,
-        )
+        fwd = _epoch_forward(online, predictor, target, online_input, target_input, plan)
         # A NaN makes every hinge bracket test False, which would report a
         # loss of 0 instead of failing.
         checked = (("anchor", fwd.batch.anchor), ("structural positive", fwd.batch.positive_struct))

@@ -8,6 +8,7 @@ it out of a quick loop with `-m "not acceptance"`.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from sngcl.evaluation import (
     train_probe,
 )
 from sngcl.graph import MODES, smooth_features
-from sngcl.losses import sample_neighbor_indices, total_loss
+from sngcl.losses import neighbor_operator, sample_neighbor_indices, total_loss
 from sngcl.nn import init_mlp
 from sngcl.rng import stream_rng
 from sngcl.training import (
@@ -114,7 +115,7 @@ def _gradient_instance(seed: int):
         x_online = smooth_features(g, config.t, "symmetric")
         x_target = smooth_features(g, config.t, "random-walk")
         plan = EpochPlan(
-            neighbor_idx=sample_neighbor_indices(g, config.loss.n_neighbors, rng),
+            neighbor_op=neighbor_operator(sample_neighbor_indices(g, config.loss.n_neighbors, rng)),
             permutations=[rng.permutation(n) for _ in range(config.loss.k)],
         )
         fwd = _epoch_forward(online, predictor, target, x_online, x_target, plan)
@@ -128,13 +129,14 @@ def _gradient_instance(seed: int):
 
 def _min_hinge_margin(batch, cfg) -> float:
     worst = np.inf
+    negatives = [batch.negative_rows[perm] for perm in batch.permutations]
     for pos in (batch.positive_struct, batch.positive_neighbor):
         dp = ((batch.anchor - pos) ** 2).sum(axis=1)
-        for neg in batch.negatives:
+        for neg in negatives:
             dn = ((batch.anchor - neg) ** 2).sum(axis=1)
             worst = min(worst, float(np.abs(dp - dn + cfg.alpha).min()))
     dp = ((batch.anchor - batch.positive_struct) ** 2).sum(axis=1)
-    for neg in batch.negatives:
+    for neg in negatives:
         dn = ((batch.anchor - neg) ** 2).sum(axis=1)
         worst = min(worst, float(np.abs(dp - dn + cfg.alpha + cfg.beta).min()))
     return worst
@@ -159,13 +161,13 @@ def test_criterion_02_end_to_end_gradients_match_finite_differences():
         out = total_loss(fwd.batch, config.loss)
         enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan)
 
-        # negatives are constants by design: freeze the base-point copies so
+        # negatives are constants by design: freeze a base-point copy of their rows so
         # finite differences evaluate the same map the backward pass uses
-        frozen = [neg.copy() for neg in fwd.batch.negatives]
+        frozen = fwd.batch.anchor.copy()
 
         def loss_value():
-            f2 = _epoch_forward(online, predictor, target, x_on, x_tg, plan, negatives=frozen)
-            return total_loss(f2.batch, config.loss).total
+            f2 = _epoch_forward(online, predictor, target, x_on, x_tg, plan)
+            return total_loss(replace(f2.batch, negative_rows=frozen), config.loss).total
 
         pairs = list(zip(online.params(), enc_grads.params()))
         pairs += list(zip(predictor.params(), pred_grads.params()))

@@ -360,6 +360,45 @@ def test_a_negative_seed_exits_1_without_a_traceback(sbm_dir, tmp_path, argv):
     assert not (tmp_path / "neg").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "embed"])
+def test_checkpoint_with_a_negative_seed_exits_1(sbm_dir, tmp_path, capsys, command):
+    # no train run writes seed=-1, so a checkpoint holding it is corrupt
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
+    ckpt = run_dir / "model.ckpt"
+    rewrite_checkpoint_metadata(ckpt, b"\nseed=0\n", b"\nseed=-1\n")
+    capsys.readouterr()
+    extra = {
+        "eval": ["--train-per-class", "5", "--val-total", "5", "--splits", "1"],
+        "embed": ["--out", str(tmp_path / "emb.tsv")],
+    }[command]
+    assert run_command([command, "--data", str(sbm_dir), "--checkpoint", str(ckpt), *extra]) == 1
+    assert capsys.readouterr().err == "error: malformed metadata: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "emb.tsv").exists()
+
+
+@pytest.mark.parametrize("manifest, labels, message", [
+    ("n_nodes=2\nn_features=-1\nn_classes=0\nn_edges=0\n", "-1\n-1\n", "n_features=-1 is negative"),
+    ("n_nodes=0\nn_features=2\nn_classes=0\nn_edges=0\n", "", "graph has no nodes"),
+], ids=["negative-feature-count", "no-nodes"])
+def test_a_dataset_with_an_empty_dimension_exits_1_without_a_traceback(
+    tmp_path, manifest, labels, message
+):
+    # features.tsv is empty in both: before, the first raised numpy's
+    # reshape ValueError and the second loaded and divided by zero in the loss
+    data = tmp_path / "ds"
+    data.mkdir()
+    (data / "manifest.txt").write_text(manifest)
+    (data / "labels.tsv").write_text(labels)
+    for name in ("edges.tsv", "features.tsv"):
+        (data / name).write_text("")
+    out = _sngcl("train", "--data", data, "--epochs", "1", "--out", "run", cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert message in out.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_checkpoint_with_a_nan_weight_exits_1(sbm_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
@@ -531,6 +570,19 @@ def test_preprocess_views_default_to_the_training_depth(tmp_path, capsys):
     for name, mode in (("x_global.tsv", RANDOM_WALK), ("x_local.tsv", SYMMETRIC)):
         written = np.loadtxt(views / name, delimiter="\t")
         np.testing.assert_array_equal(written, smooth_features(g, t, mode))
+
+
+def test_preprocess_with_a_negative_depth_writes_nothing(tmp_path):
+    # both views are smoothed before the dataset is written
+    content, cites = _planetoid_toy(tmp_path, 1)
+    out = _sngcl(
+        "preprocess", "--content", content, "--cites", cites, "--out", "toy",
+        "--views-out", "views", "--t", "-1", cwd=tmp_path,
+    )
+    assert out.returncode == 1
+    assert out.stderr == "error: stacking depth t must be >= 0, got -1\n"
+    assert out.stdout == ""
+    assert not (tmp_path / "toy").exists() and not (tmp_path / "views").exists()
 
 
 def test_preprocess_reports_skipped_citations_once_on_stdout(tmp_path):

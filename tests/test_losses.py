@@ -49,12 +49,15 @@ def random_terms(seed, n=6, d=4, k=3):
 
 def loss_of(anchor, pos_s, negatives, alpha, beta=1.0, omega1=1.0, omega2=1.0, pos_n=None):
     """``total_loss`` on one batch; the neighbor positive defaults to a copy
-    of the structural one, so L_N equals L_S."""
+    of the structural one, so L_N equals L_S.  The negatives are stacked, and
+    negative j is gathered from rows ``j*n`` to ``(j+1)*n``."""
+    n = anchor.shape[0]
     batch = EmbeddingBatch(
         anchor=anchor,
         positive_struct=pos_s,
         positive_neighbor=pos_s.copy() if pos_n is None else pos_n,
-        negatives=negatives,
+        negative_rows=np.vstack(negatives),
+        permutations=[np.arange(j * n, (j + 1) * n) for j in range(len(negatives))],
     )
     cfg = LossConfig(alpha=alpha, beta=beta, k=len(negatives), omega1=omega1, omega2=omega2)
     return total_loss(batch, cfg)
@@ -205,16 +208,53 @@ def test_total_loss_combines_weighted_components():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_gathered_negatives_give_the_loss_of_explicit_copies():
+    # negative j is gathered from the anchor rows through permutation j, and
+    # the loss sums it where an explicit copy anchor[perm_j] would be summed
+    anchor, positive, _ = random_terms(31, n=7, d=3)
+    rng = np.random.default_rng(31)
+    perms = [rng.permutation(7) for _ in range(4)]
+    batch = EmbeddingBatch(
+        anchor=anchor,
+        positive_struct=positive,
+        positive_neighbor=positive.copy(),
+        negative_rows=anchor,
+        permutations=perms,
+    )
+    got = total_loss(batch, LossConfig(alpha=0.9, beta=0.3, k=4))
+    want = loss_of(anchor, positive, [anchor[p] for p in perms], 0.9, 0.3)
+    assert got.total == want.total
+    assert got.grad_anchor.tobytes() == want.grad_anchor.tobytes()
+
+
 def test_total_loss_validates_batch_shapes():
     anchor = np.zeros((3, 2))
     batch = EmbeddingBatch(
         anchor=anchor,
         positive_struct=np.zeros((3, 2)),
         positive_neighbor=np.zeros((2, 2)),
-        negatives=[np.zeros((3, 2))],
+        negative_rows=anchor,
+        permutations=[np.arange(3)],
     )
     with pytest.raises(InputError, match="positive_neighbor"):
         total_loss(batch, LossConfig(k=1))
+
+
+@pytest.mark.parametrize("perm", [
+    [0, 1, 3], [0, -1, 2], [0, 1], [0, 1, 2, 0], [[0, 1, 2]],
+], ids=["past-the-end", "negative", "short", "long", "2-d"])
+def test_total_loss_rejects_a_permutation_outside_the_negative_rows(perm):
+    # the gather clips, so without the check [0, 1, 3] would read row 2
+    anchor = np.arange(6.0).reshape(3, 2)
+    batch = EmbeddingBatch(
+        anchor=anchor,
+        positive_struct=anchor + 1.0,
+        positive_neighbor=anchor + 1.0,
+        negative_rows=anchor,
+        permutations=[np.arange(3), np.array(perm)],
+    )
+    with pytest.raises(InputError, match=r"permutation 1 must hold 3 indices in \[0, 3\)"):
+        total_loss(batch, LossConfig(k=2))
 
 
 def test_loss_config_validation():
@@ -251,17 +291,21 @@ def test_shuffle_negatives_are_row_permutations_of_the_anchor(sbm_tiny):
     def negatives():
         shuffle = stream_rng(0, "shuffle")
         plan = EpochPlan(
-            neighbor_idx=sample_neighbor_indices(sbm_tiny, 2, stream_rng(0, "neighbor")),
+            neighbor_op=neighbor_operator(
+                sample_neighbor_indices(sbm_tiny, 2, stream_rng(0, "neighbor"))
+            ),
             permutations=[shuffle.permutation(sbm_tiny.n_nodes) for _ in range(4)],
         )
-        fwd = _epoch_forward(online, predictor, online, x, x, plan)
-        return fwd.batch.anchor, fwd.batch.negatives
+        batch = _epoch_forward(online, predictor, online, x, x, plan).batch
+        negs = [batch.negative_rows[perm] for perm in batch.permutations]
+        return batch.anchor, plan.permutations, negs
 
-    anchor, negs = negatives()
+    anchor, perms, negs = negatives()
     assert len(negs) == 4
-    for neg in negs:
-        np.testing.assert_array_equal(np.sort(neg, axis=0), np.sort(anchor, axis=0))
-    for a, b in zip(negs, negatives()[1]):
+    for perm, neg in zip(perms, negs):
+        np.testing.assert_array_equal(np.sort(perm), np.arange(sbm_tiny.n_nodes))
+        np.testing.assert_array_equal(neg, anchor[perm])
+    for a, b in zip(negs, negatives()[2]):
         np.testing.assert_array_equal(a, b)
 
 

@@ -5,7 +5,7 @@ import os
 import struct
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from sngcl.errors import (
     TrainingDivergedError,
 )
 from sngcl.graph import Graph, SmoothedOperator
-from sngcl.losses import LossConfig, sample_neighbor_indices, total_loss
+from sngcl.losses import LossConfig, neighbor_operator, sample_neighbor_indices, total_loss
 from sngcl.nn import init_mlp, mlp_forward
 from sngcl.rng import stream_rng
 from sngcl.training import (
@@ -325,7 +325,7 @@ def _sparse_epoch_instance(view_mode):
         for b in mlp.biases:
             b += 0.2
     plan = EpochPlan(
-        neighbor_idx=sample_neighbor_indices(graph, 2, stream_rng(0, "neighbor")),
+        neighbor_op=neighbor_operator(sample_neighbor_indices(graph, 2, stream_rng(0, "neighbor"))),
         permutations=[stream_rng(0, "shuffle").permutation(graph.n_nodes) for _ in range(3)],
     )
     online_filter, target_filter = training.VIEW_FILTERS[view_mode]
@@ -363,11 +363,11 @@ def test_factorised_epoch_gradients_match_finite_differences(view_mode):
     fwd = _epoch_forward(*nets, *operators, plan)
     out = total_loss(fwd.batch, config.loss)
     enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan)
-    frozen = [neg.copy() for neg in fwd.batch.negatives]
+    frozen = fwd.batch.anchor.copy()
 
     def loss_value():
-        f = _epoch_forward(*nets, *operators, plan, negatives=frozen)
-        return total_loss(f.batch, config.loss).total
+        f = _epoch_forward(*nets, *operators, plan)
+        return total_loss(replace(f.batch, negative_rows=frozen), config.loss).total
 
     pairs = list(zip(online.params(), enc_grads.params()))
     pairs += list(zip(predictor.params(), pred_grads.params()))
@@ -377,32 +377,26 @@ def test_factorised_epoch_gradients_match_finite_differences(view_mode):
         assert np.max(np.abs(analytic - fd) / denom) < 1e-4
 
 
-def test_negatives_are_gathered_into_the_given_buffers_and_never_shared():
-    config, nets, plan, dense, _ = _sparse_epoch_instance(VIEW_BOTH)
-    first = _epoch_forward(*nets, *dense, plan)
-    second = _epoch_forward(*nets, *dense, plan)
-    for a in first.batch.negatives:
-        assert not any(np.shares_memory(a, b) for b in second.batch.negatives)
-    buffers = [np.full_like(first.batch.anchor, np.nan) for _ in plan.permutations]
-    third = _epoch_forward(*nets, *dense, plan, buffers=buffers)
-    assert all(got is buf for got, buf in zip(third.batch.negatives, buffers, strict=True))
-    for perm, got, fresh in zip(plan.permutations, buffers, first.batch.negatives):
-        assert got.tobytes() == fresh.tobytes() == third.batch.anchor[perm].tobytes()
+def _train_peak(graph, config) -> int:
+    tracemalloc.start()
+    try:
+        train(graph, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def test_the_training_loop_reuses_its_negative_buffers(sbm_tiny, monkeypatch):
-    seen = []
-    real = training.total_loss
-
-    def recording(batch, cfg):
-        seen.append(list(batch.negatives))  # held, so no address is reused
-        return real(batch, cfg)
-
-    monkeypatch.setattr(training, "total_loss", recording)
-    train(sbm_tiny, small_config(epochs=3, loss=LossConfig(k=3)))
-    assert len(seen) == 3 and len({id(neg) for neg in seen[0]}) == 3
-    for later in seen[1:]:
-        assert all(a is b for a, b in zip(seen[0], later, strict=True))
+def test_training_memory_does_not_grow_with_the_number_of_negatives():
+    # The loss gathers each negative into one reused n x d buffer, so eight
+    # negatives cost k permutations more than one, not seven n x d copies.
+    graph = sparse_feature_graph(n=400)
+    dims = dict(encoder_dims=[200, 16, 64], predictor_dims=[64, 16, 64])
+    one, eight = (
+        _train_peak(graph, small_config(epochs=2, **dims, loss=LossConfig(k=k)))
+        for k in (1, 8)
+    )
+    negative = graph.n_nodes * 64 * 8  # one n x d float64 array: 204.8 kB
+    assert eight - one < negative, (one, eight)
 
 
 def test_factorised_training_is_bitwise_repeatable(tmp_path):
@@ -487,6 +481,14 @@ def test_checkpoint_metadata_errors_are_corruption():
     ):
         with pytest.raises(CheckpointCorruptionError, match="malformed"):
             training._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
+
+
+def test_checkpoint_metadata_with_a_negative_seed_is_corruption():
+    # the rule and message of stream_rng, checked where the metadata is read
+    with pytest.raises(CheckpointCorruptionError, match="seed must be >= 0, got -1"):
+        training._config_from_lines(V1_DEFAULT_METADATA.replace("seed=0", "seed=-1"))
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        small_config(seed=-1).resolved(16).validate(16)
 
 
 @pytest.mark.parametrize("old, new", [
