@@ -415,11 +415,11 @@ def run_command(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except SngclError as exc:
+    except (SngclError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # such as numpy's, naming the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -146,7 +146,9 @@ def _row_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
+def total_loss(
+    batch: EmbeddingBatch, cfg: LossConfig, reuse: LossOutput | None = None
+) -> LossOutput:
     """L = omega1 * L_S + omega2 * L_N + L_U, in one pass over the negatives.
 
     With d+ the squared distance from h_i to its structural (S) or neighbor
@@ -158,12 +160,20 @@ def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
     L_U is always >= 0 and keeps within-class spread bounded instead of
     letting the triplet terms expand distances indefinitely; its weight is
     fixed at 1.
+
+    Given ``reuse``, the output of an earlier call on a batch of the same
+    shape, the gradients are formed in its two arrays, which the returned
+    output holds again.
     """
     batch.validate()
     anchor = batch.anchor
     n, k = anchor.shape[0], len(batch.permutations)
     diff_s = anchor - batch.positive_struct
-    diff_n = anchor - batch.positive_neighbor
+    if reuse is None:
+        diff_n, diff = np.empty_like(anchor), np.empty_like(anchor)
+    else:
+        diff_n, diff = reuse.grad_positive_neighbor, reuse.grad_anchor
+    np.subtract(anchor, batch.positive_neighbor, out=diff_n)
     sq_s, sq_n = _row_sq(diff_s), _row_sq(diff_n)
     l_s = l_n = l_u = 0.0
     # Each active hinge adds +-(diff to its positive - diff to the negative)
@@ -171,7 +181,6 @@ def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
     # positive differences, neg_term the weighted negative differences.
     coef_s, coef_n = np.zeros(n), np.zeros(n)
     neg_term = np.zeros_like(anchor)
-    diff = np.empty_like(anchor)
     for perm in batch.permutations:
         # validate() checked the range; mode="raise" would gather into a temporary
         np.take(batch.negative_rows, perm, axis=0, mode="clip", out=diff)
@@ -192,7 +201,7 @@ def total_loss(batch: EmbeddingBatch, cfg: LossConfig) -> LossOutput:
         neg_term += diff
     scale = 1.0 / (n * k)
     l_s, l_n, l_u = l_s * scale, l_n * scale, l_u * scale
-    # the gradients are formed in place in this call's own four n x d arrays
+    # the gradients are formed in place in the four n x d arrays above
     g_s = np.multiply(diff_s, ((2.0 * scale) * coef_s)[:, None], out=diff_s)
     g_n = np.multiply(diff_n, ((2.0 * scale) * coef_n)[:, None], out=diff_n)
     grad_anchor = np.add(g_s, g_n, out=diff)

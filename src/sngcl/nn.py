@@ -110,19 +110,28 @@ class ForwardCache:
     output: np.ndarray
 
 
-def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Forward pass; ReLU, in place, after every layer except the last."""
+def mlp_forward(
+    mlp: Mlp, x: np.ndarray, reuse: ForwardCache | None = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """Forward pass; ReLU, in place, after every layer except the last.
+
+    Given ``reuse``, the cache of an earlier pass of a network of the same
+    widths over as many rows, each layer writes its output into the matching
+    array of that cache, which the returned cache holds again; only a first
+    layer that reads its input as an operator makes a fresh one.
+    """
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[0]:
         raise InputError(
             f"input width {x.shape[-1] if x.ndim == 2 else x.shape} does not match "
             f"first layer input dim {mlp.weights[0].shape[0]}"
         )
+    outs = [None] * mlp.n_layers if reuse is None else [*reuse.inputs[1:], reuse.output]
     inputs = []
     a = x
     last = mlp.n_layers - 1
-    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+    for l, (w, b, out) in enumerate(zip(mlp.weights, mlp.biases, outs)):
         inputs.append(a)
-        a = a @ w
+        a = np.matmul(a, w, out=out) if isinstance(a, np.ndarray) else a @ w
         a += b  # the sums of ``a @ w + b``, without a second array
         if l < last:
             np.maximum(a, 0.0, out=a)

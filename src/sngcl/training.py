@@ -57,6 +57,7 @@ from .losses import (
     total_loss,
 )
 from .nn import (
+    ForwardCache,
     Mlp,
     ModelState,
     adam_step,
@@ -321,8 +322,8 @@ class EpochPlan:
 
 @dataclass
 class _EpochForward:
-    cache_enc: object
-    cache_pred: object
+    cache_enc: ForwardCache
+    cache_pred: ForwardCache
     batch: EmbeddingBatch
 
 
@@ -333,13 +334,24 @@ def _epoch_forward(
     online_input: np.ndarray | SmoothedOperator,
     target_input: np.ndarray | SmoothedOperator,
     plan: EpochPlan,
+    reuse: _EpochForward | None = None,
 ) -> _EpochForward:
     """One epoch's forward map.  The negatives are the anchor's rows under
     ``plan.permutations``; a batch whose ``negative_rows`` is a copy of the
-    anchor holds them constant, as the analytic gradient does."""
-    z1, cache_enc = mlp_forward(online, online_input)
-    anchor, cache_pred = mlp_forward(predictor, z1)
-    positive_struct, _ = mlp_forward(target, target_input)
+    anchor holds them constant, as the analytic gradient does.
+
+    Given ``reuse``, an earlier epoch's forward, every layer but a factorised
+    first one writes into its arrays.  The target runs first: its hidden
+    layers go into the online encoder's, which the online pass overwrites
+    next, and its output into the old structural positive.
+    """
+    into_target = into_online = into_predictor = None
+    if reuse is not None:
+        into_target = ForwardCache(reuse.cache_enc.inputs, reuse.batch.positive_struct)
+        into_online, into_predictor = reuse.cache_enc, reuse.cache_pred
+    positive_struct, _ = mlp_forward(target, target_input, into_target)
+    z1, cache_enc = mlp_forward(online, online_input, into_online)
+    anchor, cache_pred = mlp_forward(predictor, z1, into_predictor)
     batch = EmbeddingBatch(
         anchor=anchor,
         positive_struct=positive_struct,
@@ -405,20 +417,22 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
     )
 
     history = np.empty((config.epochs, 5))
+    # each epoch writes its n-row arrays into the previous epoch's
+    fwd = out = None
     for epoch in range(1, config.epochs + 1):
         idx = sample_neighbor_indices(graph, loss_cfg.n_neighbors, rng_neighbor)
         plan = EpochPlan(
             neighbor_op=neighbor_operator(idx),
             permutations=[rng_shuffle.permutation(graph.n_nodes) for _ in range(loss_cfg.k)],
         )
-        fwd = _epoch_forward(online, predictor, target, online_input, target_input, plan)
+        fwd = _epoch_forward(online, predictor, target, online_input, target_input, plan, fwd)
         # A NaN makes every hinge bracket test False, which would report a
         # loss of 0 instead of failing.
         checked = (("anchor", fwd.batch.anchor), ("structural positive", fwd.batch.positive_struct))
         for name, arr in checked:
             if not np.isfinite(arr).all():
                 raise TrainingDivergedError(f"non-finite {name} at epoch {epoch}")
-        out = total_loss(fwd.batch, loss_cfg)
+        out = total_loss(fwd.batch, loss_cfg, out)
         if not np.isfinite(out.total):
             raise TrainingDivergedError(
                 f"non-finite loss {out.total} at epoch {epoch}"

@@ -416,6 +416,21 @@ def test_a_dataset_with_an_empty_dimension_exits_1_without_a_traceback(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "1000000000000000"],  # the epochs x 5 history
+    ["train", "--epochs", "1", "--encoder-dims", "16,5000000000000,256"],
+    ["gen-sbm", "--nodes-per-block", "100000000000000"],
+], ids=["train-epochs", "train-encoder-dims", "gen-sbm"])
+def test_an_allocation_that_fails_exits_1_without_a_traceback(sbm_dir, tmp_path, argv):
+    # each array exceeds a 47-bit address space, so its allocation fails at
+    # once and touches no memory
+    data = ["--data", sbm_dir] if argv[0] == "train" else []
+    out = _sngcl(*argv, *data, "--out", "run", cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: out of memory: ") and out.stderr.count("\n") == 1, out.stderr
+    assert not (tmp_path / "run").exists()
+
+
 def test_checkpoint_with_a_nan_weight_exits_1(sbm_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0

@@ -227,27 +227,43 @@ def test_gathered_negatives_give_the_loss_of_explicit_copies():
     assert got.grad_anchor.tobytes() == want.grad_anchor.tobytes()
 
 
-def test_total_loss_writes_its_gradients_into_arrays_of_its_own():
-    # the gradients are formed in place, in buffers total_loss allocates;
-    # the batch, whose negative rows alias the anchor as in training, stays as it was
-    anchor, positive, _ = random_terms(41, n=9, d=4)
-    neighbor = np.random.default_rng(42).standard_normal(anchor.shape)
-    rng = np.random.default_rng(43)
-    batch = EmbeddingBatch(
+def _aliased_batch(seed, n=9, d=4, k=3):
+    """A batch whose negative rows alias the anchor, as in training."""
+    anchor, positive, _ = random_terms(seed, n=n, d=d)
+    rng = np.random.default_rng(seed + 1)
+    return EmbeddingBatch(
         anchor=anchor,
         positive_struct=positive,
-        positive_neighbor=neighbor,
+        positive_neighbor=rng.standard_normal(anchor.shape),
         negative_rows=anchor,
-        permutations=[rng.permutation(9) for _ in range(3)],
+        permutations=[rng.permutation(n) for _ in range(k)],
     )
-    inputs = (anchor, positive, neighbor)
+
+
+def test_total_loss_writes_its_gradients_into_arrays_of_its_own():
+    # the gradients are formed in place, in buffers total_loss allocates or,
+    # given an earlier output, in that output's; the batch stays as it was
+    cfg = LossConfig(alpha=2.0, beta=0.5, k=3)
+    first, batch = _aliased_batch(41), _aliased_batch(51)
+    inputs = (batch.anchor, batch.positive_struct, batch.positive_neighbor)
     before = [a.tobytes() for a in inputs]
-    out = total_loss(batch, LossConfig(alpha=2.0, beta=0.5, k=3))
+    out = total_loss(batch, cfg)
     assert out.l_struct > 0 and out.l_neighbor > 0 and out.l_upper > 0
     assert [a.tobytes() for a in inputs] == before
     for grad in (out.grad_anchor, out.grad_positive_neighbor):
         assert not any(np.shares_memory(grad, a) for a in inputs)
     assert not np.shares_memory(out.grad_anchor, out.grad_positive_neighbor)
+
+    previous = total_loss(first, cfg)
+    given = (previous.grad_anchor, previous.grad_positive_neighbor)
+    reused = total_loss(batch, cfg, reuse=previous)
+    assert [a.tobytes() for a in inputs] == before
+    assert reused.grad_anchor is given[0] and reused.grad_positive_neighbor is given[1]
+    assert (reused.total, reused.l_struct, reused.l_neighbor, reused.l_upper) == (
+        out.total, out.l_struct, out.l_neighbor, out.l_upper
+    )
+    assert reused.grad_anchor.tobytes() == out.grad_anchor.tobytes()
+    assert reused.grad_positive_neighbor.tobytes() == out.grad_positive_neighbor.tobytes()
 
 
 def test_total_loss_validates_batch_shapes():

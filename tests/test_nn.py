@@ -62,6 +62,31 @@ def test_forward_applies_relu_on_hidden_layers_only():
     assert y[0, 0] == -3.0
 
 
+def test_forward_writes_into_the_arrays_of_a_given_cache():
+    # as in training: the predictor reads the encoder's output, which is also
+    # the input its given cache holds, so that array must only be read
+    rng = np.random.default_rng(4)
+    enc = init_mlp([5, 7, 6, 3], stream_rng(4, "init"))
+    pred = init_mlp([3, 4, 3], stream_rng(5, "init"))
+    z_old, enc_old = mlp_forward(enc, rng.standard_normal((8, 5)))
+    _, pred_old = mlp_forward(pred, z_old)
+    given = [*enc_old.inputs[1:], enc_old.output, *pred_old.inputs[1:], pred_old.output]
+    x = rng.standard_normal((8, 5))
+    want_z, want_enc = mlp_forward(enc, x)
+    _, want_pred = mlp_forward(pred, want_z)
+    want = [*want_enc.inputs[1:], want_enc.output, *want_pred.inputs[1:], want_pred.output]
+
+    x_before = x.tobytes()
+    z, cache_enc = mlp_forward(enc, x, reuse=enc_old)
+    z_before = z.tobytes()
+    y, cache_pred = mlp_forward(pred, z, reuse=pred_old)
+    assert x.tobytes() == x_before and z.tobytes() == z_before
+    assert cache_enc.inputs[0] is x and cache_pred.inputs[0] is z and y is cache_pred.output
+    got = [*cache_enc.inputs[1:], cache_enc.output, *cache_pred.inputs[1:], cache_pred.output]
+    assert all(a is b for a, b in zip(got, given))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_forward_rejects_wrong_input_width():
     mlp = init_mlp([4, 3], stream_rng(0, "init"))
     with pytest.raises(InputError, match="input width"):

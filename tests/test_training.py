@@ -196,8 +196,8 @@ def test_non_finite_loss_aborts_with_the_epoch_number(sbm_tiny, monkeypatch):
     real = training.total_loss
     state = {"n": 0}
 
-    def poisoned(batch, cfg):
-        out = real(batch, cfg)
+    def poisoned(*args):
+        out = real(*args)
         state["n"] += 1
         if state["n"] == 3:
             out.total = float("nan")
@@ -401,11 +401,13 @@ def test_training_memory_does_not_grow_with_the_number_of_negatives():
 
 
 def test_an_epoch_holds_few_n_row_arrays_beyond_the_persistent_state():
-    # The forward cache keeps layer inputs and outputs only, and the ReLU, its
-    # mask and the loss gradients are applied in place.  Above the parameters,
-    # the target, the gradients and Adam's two moments, training then peaks at
-    # 8.4-8.7 arrays of n x hidden float64, against 13.4-13.7 with the
-    # pre-activations kept and fresh arrays for the mask and the gradients.
+    # The forward cache keeps layer inputs and outputs only, the ReLU, its
+    # mask and the loss gradients are applied in place, and each epoch writes
+    # into the previous epoch's arrays.  Above the parameters, the target, the
+    # gradients and Adam's two moments, training then peaks at 6.1 arrays of
+    # n x hidden float64, against 8.4 with the previous epoch's arrays kept
+    # through the next and 13.4-13.7 with the pre-activations kept and fresh
+    # arrays for the mask and the gradients.
     graph = generate_sbm(SbmConfig(nodes_per_block=200, n_blocks=2, seed=0))
     enc_dims, pred_dims = [16, 256, 64], [64, 256, 64]
     enc, pred = (sum((a + 1) * b for a, b in zip(d, d[1:])) for d in (enc_dims, pred_dims))
@@ -415,6 +417,41 @@ def test_an_epoch_holds_few_n_row_arrays_beyond_the_persistent_state():
     )
     hidden = graph.n_nodes * 256 * 8  # one n x hidden float64 array: 819.2 kB
     assert (peak - persistent) / hidden < 11, (peak, persistent)
+
+
+@pytest.mark.parametrize("factorised", [False, True], ids=["dense", "factorised"])
+def test_later_epochs_hold_no_more_memory_than_the_first(factorised):
+    # Each epoch writes its n-row arrays into the previous epoch's.  Keeping
+    # those alive through the next epoch instead raised the 3-epoch peak above
+    # the 1-epoch one by 2.3 arrays of n x hidden float64 on the dense path
+    # and by 1.4 on the factorised one, whose first layer makes its own array.
+    if factorised:
+        graph = sparse_feature_graph()
+        dims = dict(encoder_dims=[200, 256, 256], predictor_dims=[256, 256, 256])
+    else:
+        graph = generate_sbm(SbmConfig(nodes_per_block=200, n_blocks=2, seed=0))
+        dims = dict(encoder_dims=[16, 256, 64], predictor_dims=[64, 256, 64])
+    online_input, _ = resolve_view_inputs(graph, 3, VIEW_BOTH)
+    assert isinstance(online_input, SmoothedOperator) == factorised
+    one, three = (_train_peak(graph, small_config(epochs=e, **dims)) for e in (1, 3))
+    hidden = graph.n_nodes * 256 * 8  # one n x hidden float64 array
+    assert (three - one) / hidden <= 0.5, (one, three)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_writing_into_the_previous_epochs_arrays_changes_no_bit(sbm_tiny, monkeypatch, sparse):
+    graph, dims = (sparse_feature_graph(), SPARSE_SMALL) if sparse else (sbm_tiny, SMALL)
+    config = small_config(epochs=4, **dims)
+    reusing = train(graph, config)
+    # the same loop with every epoch's arrays fresh
+    real_forward, real_loss = training._epoch_forward, training.total_loss
+    monkeypatch.setattr(training, "_epoch_forward", lambda *args: real_forward(*args[:6]))
+    monkeypatch.setattr(training, "total_loss", lambda batch, cfg, reuse: real_loss(batch, cfg))
+    fresh = train(graph, config)
+    assert reusing.history.tobytes() == fresh.history.tobytes()
+    for net in ("online_encoder", "predictor", "target_encoder"):
+        a, b = getattr(reusing.model, net), getattr(fresh.model, net)
+        assert a.buffer.tobytes() == b.buffer.tobytes()
 
 
 def test_factorised_training_is_bitwise_repeatable(tmp_path):
