@@ -116,9 +116,9 @@ def mlp_forward(
     """Forward pass; ReLU, in place, after every layer except the last.
 
     Given ``reuse``, the cache of an earlier pass of a network of the same
-    widths over as many rows, each layer writes its output into the matching
-    array of that cache, which the returned cache holds again; only a first
-    layer that reads its input as an operator makes a fresh one.
+    widths over as many rows, each layer, a first one that reads its input as
+    an operator included, writes its output into the matching array of that
+    cache, which the returned cache holds again.
     """
     if x.ndim != 2 or x.shape[1] != mlp.weights[0].shape[0]:
         raise InputError(
@@ -131,7 +131,7 @@ def mlp_forward(
     last = mlp.n_layers - 1
     for l, (w, b, out) in enumerate(zip(mlp.weights, mlp.biases, outs)):
         inputs.append(a)
-        a = np.matmul(a, w, out=out) if isinstance(a, np.ndarray) else a @ w
+        a = np.matmul(a, w, out=out) if isinstance(a, np.ndarray) else a.matmul(w, out)
         a += b  # the sums of ``a @ w + b``, without a second array
         if l < last:
             np.maximum(a, 0.0, out=a)
@@ -167,7 +167,7 @@ def mlp_backward(
         if isinstance(x, np.ndarray):
             np.matmul(x.T, dz, out=grads.weights[l])
         else:  # a first layer that reads its input as an operator
-            grads.weights[l][...] = x.T @ dz
+            x.T.matmul(dz, grads.weights[l])
         np.sum(dz, axis=0, out=grads.biases[l])
         if l > 0:
             # relu(z) > 0 exactly where z > 0, NaN and -0.0 included

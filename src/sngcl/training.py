@@ -12,9 +12,10 @@ before the loop into the dense matrix ``H^t X``.  Sparse features, such as
 bag-of-words, stay sparse: the view is the operator ``H^t X`` of
 :func:`~sngcl.graph.smoothed_operator`, and the first layer computes
 ``H^t (X W)`` and its weight gradient ``X^T (H^T)^t dZ`` from sparse
-products, never forming ``H^t X``.  The rule compares the multiply-adds of
-the two, with a sparse one weighted by ``SPARSE_COST``; it reads only the
-input, so a seed still gives byte-identical runs.
+products, 64 columns at a time into arrays the epoch owns, never forming
+``H^t X``.  The rule compares the multiply-adds of the two, with a sparse one
+weighted by ``SPARSE_COST``; it reads only the input, so a seed still gives
+byte-identical runs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .graph import (
     feature_nonzeros,
     smooth_features,
     smoothed_operator,
+    sparse_chain,
 )
 from .losses import (
     EmbeddingBatch,
@@ -340,22 +342,23 @@ def _epoch_forward(
     ``plan.permutations``; a batch whose ``negative_rows`` is a copy of the
     anchor holds them constant, as the analytic gradient does.
 
-    Given ``reuse``, an earlier epoch's forward, every layer but a factorised
-    first one writes into its arrays.  The target runs first: its hidden
+    Given ``reuse``, an earlier epoch's forward, every layer and the neighbor
+    positive write into its arrays.  The target runs first: its hidden
     layers go into the online encoder's, which the online pass overwrites
     next, and its output into the old structural positive.
     """
-    into_target = into_online = into_predictor = None
+    into_target = into_online = into_predictor = into_neighbor = None
     if reuse is not None:
         into_target = ForwardCache(reuse.cache_enc.inputs, reuse.batch.positive_struct)
         into_online, into_predictor = reuse.cache_enc, reuse.cache_pred
+        into_neighbor = reuse.batch.positive_neighbor
     positive_struct, _ = mlp_forward(target, target_input, into_target)
     z1, cache_enc = mlp_forward(online, online_input, into_online)
     anchor, cache_pred = mlp_forward(predictor, z1, into_predictor)
     batch = EmbeddingBatch(
         anchor=anchor,
         positive_struct=positive_struct,
-        positive_neighbor=plan.neighbor_op @ anchor,
+        positive_neighbor=sparse_chain([plan.neighbor_op], anchor, into_neighbor),
         negative_rows=anchor,
         permutations=plan.permutations,
     )
@@ -374,11 +377,12 @@ def _epoch_backward(
     ``grads`` (fresh Mlps where None).
 
     The neighbor positive is ``S @ anchor``, so its gradient reaches the
-    anchor as ``S.T @ grad``; the structural positive belongs to the frozen
-    target and receives nothing.
+    anchor as ``S.T @ grad``, formed in ``out.grad_positive_neighbor``; the
+    structural positive belongs to the frozen target and receives nothing.
     """
     enc_out, pred_out = grads
-    d_anchor = plan.neighbor_op.T @ out.grad_positive_neighbor
+    d_anchor = out.grad_positive_neighbor
+    sparse_chain([plan.neighbor_op.T], d_anchor, d_anchor)
     d_anchor += out.grad_anchor
     pred_grads, dz1 = mlp_backward(predictor, fwd.cache_pred, d_anchor, grads=pred_out)
     enc_grads, _ = mlp_backward(

@@ -10,10 +10,11 @@ import pytest
 from conftest import rewrite_checkpoint_metadata
 
 import sngcl
+import sngcl.training as training
 from sngcl.cli import run_command
 from sngcl.data import load_canonical, read_key_values
 from sngcl.errors import ParseError
-from sngcl.graph import RANDOM_WALK, SYMMETRIC, smooth_features
+from sngcl.graph import RANDOM_WALK, SYMMETRIC, SmoothedOperator, smooth_features
 from sngcl.training import (
     HYPERPARAMETERS,
     TrainConfig,
@@ -602,6 +603,47 @@ def test_preprocess_views_default_to_the_training_depth(tmp_path, capsys):
     for name, mode in (("x_global.tsv", RANDOM_WALK), ("x_local.tsv", SYMMETRIC)):
         written = np.loadtxt(views / name, delimiter="\t")
         np.testing.assert_array_equal(written, smooth_features(g, t, mode))
+
+
+def test_a_wide_bag_of_words_trains_and_embeds_through_the_operator(tmp_path, monkeypatch):
+    # 40 papers over 400 words, 1-3 words each, cited in a ring: sparse
+    # enough that training reads each view as an operator.
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(40):
+        words = np.zeros(400, dtype=int)
+        words[rng.choice(400, size=rng.integers(1, 4), replace=False)] = 1
+        rows.append("\t".join([f"p{i}", *map(str, words), "AB"[i % 2]]))
+    content, cites = tmp_path / "wide.content", tmp_path / "wide.cites"
+    content.write_text("\n".join(rows) + "\n")
+    cites.write_text("".join(f"p{i}\tp{(i + 1) % 40}\n" for i in range(40)))
+    data, run = tmp_path / "wide", tmp_path / "run"
+    assert run_command([
+        "preprocess", "--content", str(content), "--cites", str(cites), "--out", str(data),
+    ]) == 0
+
+    inputs = []
+    real_forward = training.mlp_forward
+
+    def recording(mlp, x, *rest):
+        inputs.append(x)
+        return real_forward(mlp, x, *rest)
+
+    monkeypatch.setattr(training, "mlp_forward", recording)
+    assert run_command([
+        "train", "--data", str(data), "--epochs", "2", "--encoder-dims", "400,32,16",
+        "--predictor-dims", "16,32,16", "--out", str(run),
+    ]) == 0
+    first_layer = [x for x in inputs if x.shape[1] == 400]
+    assert len(first_layer) == 4  # target and online, in each of the 2 epochs
+    assert all(isinstance(x, SmoothedOperator) for x in first_layer)
+
+    emb = tmp_path / "emb.tsv"
+    assert run_command([
+        "embed", "--data", str(data), "--checkpoint", str(run / "model.ckpt"), "--out", str(emb),
+    ]) == 0
+    want = training.encode(load_checkpoint(run / "model.ckpt"), load_canonical(data))
+    assert np.loadtxt(emb, delimiter="\t").tobytes() == want.tobytes()
 
 
 def test_preprocess_with_a_negative_depth_writes_nothing(tmp_path):

@@ -1,5 +1,7 @@
 """Graph construction and the two smoothing operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,7 @@ from conftest import (
 
 from sngcl.errors import InputError
 from sngcl.graph import (
+    CHAIN_COLUMNS,
     MODES,
     RANDOM_WALK,
     SYMMETRIC,
@@ -21,7 +24,9 @@ from sngcl.graph import (
     propagation_matrix,
     smooth_features,
     smoothed_operator,
+    sparse_chain,
 )
+from sngcl.nn import init_mlp, mlp_backward, mlp_forward
 
 
 def test_build_graph_symmetrizes_and_collapses_duplicates():
@@ -196,8 +201,8 @@ def test_smoothed_operator_products_match_smooth_features(mode, t):
     op = smoothed_operator(g, t, mode)
     x = smooth_features(g, t, mode)
     assert op.shape == x.shape
-    assert rel_err(op @ w, x @ w) <= 1e-12
-    assert rel_err(op.T @ dz, x.T @ dz) <= 1e-12
+    assert rel_err(op.matmul(w), x @ w) <= 1e-12
+    assert rel_err(op.T.matmul(dz), x.T @ dz) <= 1e-12
 
 
 def test_smoothed_operator_rejects_bad_depth_and_mode(path_graph):
@@ -205,3 +210,86 @@ def test_smoothed_operator_rejects_bad_depth_and_mode(path_graph):
         smoothed_operator(path_graph, -1, RANDOM_WALK)
     with pytest.raises(InputError, match="unknown propagation mode"):
         smoothed_operator(path_graph, 1, "lazy")
+
+
+def test_build_graph_takes_an_array_a_list_or_a_generator_of_edges():
+    rng = np.random.default_rng(4)
+    edges = rng.integers(0, 30, size=(60, 2))
+    features = rng.standard_normal((30, 3))
+    graphs = [
+        build_graph(edges, features),
+        build_graph([tuple(e) for e in edges.tolist()], features),
+        build_graph((tuple(e) for e in edges.tolist()), features),
+    ]
+    for g in graphs[1:]:
+        assert (g.adjacency != graphs[0].adjacency).nnz == 0
+    assert graphs[0].adjacency.nnz > 0
+
+
+def _unblocked(mats, dense):
+    """The chain as plain scipy products over every column at once."""
+    for m in mats:
+        dense = m @ dense
+    return dense
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("t", [0, 1, 3])
+@pytest.mark.parametrize("width", [5, 2 * CHAIN_COLUMNS, 2 * CHAIN_COLUMNS + 1])
+def test_sparse_chain_gives_the_unblocked_products_bit_for_bit(mode, t, width):
+    # below one block, an exact multiple, and a last block of one column
+    g = sparse_feature_graph()
+    h, x = propagation_matrix(g, mode), sp.csr_matrix(g.features)
+    rng = np.random.default_rng(width + t)
+    w = rng.standard_normal((g.n_features, width))
+    dz = rng.standard_normal((g.n_nodes, width))
+    chains = (
+        ([x] + [h] * t, w),  # the operator's forward, H^t (X W)
+        ([h.T] * t + [x.T], dz),  # its transpose, X^T (H^T)^t dZ
+    )
+    for mats, dense in chains:
+        want = _unblocked(mats, dense)
+        assert sparse_chain(mats, dense).tobytes() == want.tobytes()
+        out = np.full_like(want, np.nan)
+        assert sparse_chain(mats, dense, out) is out
+        assert out.tobytes() == want.tobytes()
+    # in place, as the neighbor positive's gradient is
+    for mats in ([h] * t, [h.T] * t):
+        want = _unblocked(mats, dz)
+        inplace = dz.copy()
+        assert sparse_chain(mats, inplace, inplace) is inplace
+        assert inplace.tobytes() == want.tobytes()
+
+
+def _allocated_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_factorised_first_layer_writes_its_products_into_given_arrays():
+    # Unblocked, the forward makes t + 1 arrays of n x hidden and the weight
+    # gradient t of them plus an n_features x hidden product, and each peaked
+    # at 2.0 such arrays here; 64 columns at a time, each holds a few n x 64
+    # blocks at once and peaks at 0.13.
+    g = sparse_feature_graph(n=1000)
+    hidden = 16 * CHAIN_COLUMNS
+    op = smoothed_operator(g, 3, SYMMETRIC)
+    layer = init_mlp([g.n_features, hidden], np.random.default_rng(0))
+    _, cache = mlp_forward(layer, op)
+    grads = layer.zeros_like()
+    dz = np.random.default_rng(1).standard_normal((g.n_nodes, hidden))
+    one = g.n_nodes * hidden * 8  # one n x hidden float64 array: 8.2 MB
+    forward = _allocated_peak(lambda: mlp_forward(layer, op, cache))
+    assert forward < one, forward
+    backward = _allocated_peak(
+        lambda: mlp_backward(layer, cache, dz, need_input_grad=False, grads=grads)
+    )
+    assert backward < one, backward
+    # and both wrote into the arrays given
+    dense = smooth_features(g, 3, SYMMETRIC)
+    assert rel_err(cache.output, dense @ layer.weights[0]) <= 1e-12
+    assert rel_err(grads.weights[0], dense.T @ dz) <= 1e-12

@@ -421,10 +421,11 @@ def test_an_epoch_holds_few_n_row_arrays_beyond_the_persistent_state():
 
 @pytest.mark.parametrize("factorised", [False, True], ids=["dense", "factorised"])
 def test_later_epochs_hold_no_more_memory_than_the_first(factorised):
-    # Each epoch writes its n-row arrays into the previous epoch's.  Keeping
-    # those alive through the next epoch instead raised the 3-epoch peak above
-    # the 1-epoch one by 2.3 arrays of n x hidden float64 on the dense path
-    # and by 1.4 on the factorised one, whose first layer makes its own array.
+    # Each epoch writes its n-row arrays into the previous epoch's, the
+    # factorised first layer's products included.  Keeping those alive
+    # through the next epoch instead raised the 3-epoch peak above the
+    # 1-epoch one by 2.3 arrays of n x hidden float64 on the dense path and
+    # by 1.4 on the factorised one.
     if factorised:
         graph = sparse_feature_graph()
         dims = dict(encoder_dims=[200, 256, 256], predictor_dims=[256, 256, 256])
