@@ -132,7 +132,11 @@ def neighbor_operator(idx: np.ndarray) -> sp.csr_matrix:
 class LossOutput:
     """Combined objective value, its three components, and the gradients of
     the anchor and the neighbor positive (the structural positive belongs to
-    the frozen target and takes none)."""
+    the frozen target and takes none).
+
+    ``work`` holds the two other n x d arrays the loss was formed in, for a
+    later call given this output to form its terms in again.
+    """
 
     total: float
     l_struct: float
@@ -140,6 +144,14 @@ class LossOutput:
     l_upper: float
     grad_anchor: np.ndarray
     grad_positive_neighbor: np.ndarray
+    work: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+
+def loss_workspace(n: int, d: int) -> LossOutput:
+    """An output holding no loss yet, only arrays for an n x d batch's
+    terms, to give :func:`total_loss` as ``reuse``."""
+    grad_anchor, grad_neighbor, *work = (np.empty((n, d)) for _ in range(4))
+    return LossOutput(np.nan, np.nan, np.nan, np.nan, grad_anchor, grad_neighbor, tuple(work))
 
 
 def _row_sq(x: np.ndarray) -> np.ndarray:
@@ -162,17 +174,17 @@ def total_loss(
     fixed at 1.
 
     Given ``reuse``, the output of an earlier call on a batch of the same
-    shape, the gradients are formed in its two arrays, which the returned
-    output holds again.
+    shape or a :func:`loss_workspace`, every term is formed in its four
+    arrays, which the returned output holds again.
     """
     batch.validate()
     anchor = batch.anchor
     n, k = anchor.shape[0], len(batch.permutations)
-    diff_s = anchor - batch.positive_struct
     if reuse is None:
-        diff_n, diff = np.empty_like(anchor), np.empty_like(anchor)
-    else:
-        diff_n, diff = reuse.grad_positive_neighbor, reuse.grad_anchor
+        reuse = loss_workspace(*anchor.shape)
+    diff_n, diff = reuse.grad_positive_neighbor, reuse.grad_anchor
+    diff_s, neg_term = reuse.work
+    np.subtract(anchor, batch.positive_struct, out=diff_s)
     np.subtract(anchor, batch.positive_neighbor, out=diff_n)
     sq_s, sq_n = _row_sq(diff_s), _row_sq(diff_n)
     l_s = l_n = l_u = 0.0
@@ -180,7 +192,7 @@ def total_loss(
     # to the anchor gradient; coef_* hold each row's signed weight of the
     # positive differences, neg_term the weighted negative differences.
     coef_s, coef_n = np.zeros(n), np.zeros(n)
-    neg_term = np.zeros_like(anchor)
+    neg_term.fill(0.0)
     for perm in batch.permutations:
         # validate() checked the range; mode="raise" would gather into a temporary
         np.take(batch.negative_rows, perm, axis=0, mode="clip", out=diff)
@@ -213,4 +225,5 @@ def total_loss(
         l_upper=l_u,
         grad_anchor=grad_anchor,
         grad_positive_neighbor=np.negative(g_n, out=g_n),
+        work=reuse.work,
     )

@@ -5,16 +5,20 @@ of linear layers with ReLU after every layer except the last.  All math is
 float64 numpy; gradients are exact reverse-mode derivatives of the forward
 map and are verified against finite differences in the test suite.
 
-Each network's parameters live in one contiguous buffer, and so do its
-gradients and Adam's two moments; Adam and the EMA walk those buffers in
-blocks of ``BLOCK`` elements, so that a step makes a few numpy calls per
-block and its work arrays stay in cache.
+Each network's parameters live in one contiguous buffer, and so do Adam's
+two moments.  No gradient buffer is kept: backprop hands each layer's
+gradients to a consumer as soon as they form, and training's consumer is
+:func:`adam_step`, which updates that slice of the buffer in place.  Adam and
+the EMA walk their arrays in blocks of ``BLOCK`` elements, so that a step
+makes a few numpy calls per block and its work arrays stay in cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +30,8 @@ class Mlp:
     """Layer parameters: ``weights[l]`` is d_{l-1} x d_l, ``biases[l]`` is d_l.
 
     The constructor copies them into one contiguous buffer, ``buffer``, in
-    the order of :meth:`params`, and keeps views of it; gradients and Adam's
-    moments are Mlps too, so Adam and the EMA each run over a few buffers.
+    the order of :meth:`params`, and keeps views of it; Adam's moments are
+    Mlps too, so a slice of the buffer has its moments at the same offsets.
     """
 
     weights: list[np.ndarray]
@@ -138,44 +142,83 @@ def mlp_forward(
     return a, ForwardCache(inputs=inputs, output=a)
 
 
+# consume(start, grad): the flat ``grad`` is the gradient of
+# ``mlp.buffer[start:start + grad.size]``
+Consumer = Callable[[int, np.ndarray], None]
+
+
+def scratch_size(mlp: Mlp, operator_input: bool = False) -> int:
+    """Elements :func:`mlp_backward` needs in its scratch array: any one
+    layer's weight and bias gradients, or only the bias gradient of a first
+    layer that reads its input as an operator."""
+    sizes = [w.size + b.size for w, b in zip(mlp.weights, mlp.biases)]
+    if operator_input:
+        sizes[0] = mlp.biases[0].size
+    return max(sizes)
+
+
 def mlp_backward(
     mlp: Mlp,
     cache: ForwardCache,
     d_out: np.ndarray,
+    consume: Consumer,
     need_input_grad: bool = True,
-    grads: Mlp | None = None,
-) -> tuple[Mlp, np.ndarray | None]:
-    """Exact gradients of the forward map.
+    scratch: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Exact gradients of the forward map, handed to ``consume`` as they form.
 
-    Writes the parameter gradients into ``grads`` (a fresh Mlp when None) and
-    returns it, plus the gradient w.r.t. the input matrix (None when
-    ``need_input_grad`` is False, which skips the costly first-layer input
-    product).
+    Each layer's gradients go to ``consume`` only after the layer's input
+    gradient is formed from its weights, so the consumer may update them in
+    place.  A layer that reads an array forms its weight and bias gradients
+    next to each other in ``scratch`` (a flat array of at least
+    :func:`scratch_size` elements; fresh when None) and hands them over as
+    one slice.  A first layer that reads an operator hands over its bias
+    gradient from ``scratch``, then its weight gradient in blocks of whole
+    rows, each at most ``BLOCK`` elements.
+
+    Backprop runs over the cache's arrays: each hidden layer's input array
+    ends up holding the gradient w.r.t. it, and, when ``need_input_grad``,
+    the first layer's input array (which must then be an ndarray) holds the
+    gradient w.r.t. the input matrix, which is returned.  Otherwise None is
+    returned, skipping the costly first-layer input product.  A factorised
+    first layer also overwrites the gradient w.r.t. its output.
     """
     if d_out.shape != cache.output.shape:
         raise InputError(
             f"d_out shape {d_out.shape} does not match forward output "
             f"{cache.output.shape}"
         )
-    if grads is None:
-        grads = mlp.zeros_like()
-    _check_shapes(mlp, grads, "network / gradient")
+    operator_input = not isinstance(cache.inputs[0], np.ndarray)
+    if operator_input and need_input_grad:
+        raise InputError("an operator input has no input gradient")
+    need = scratch_size(mlp, operator_input)
+    if scratch is None:
+        scratch = np.empty(need)
+    elif scratch.size < need:
+        raise InputError(f"backward scratch holds {scratch.size} elements, needs {need}")
+    start = list(accumulate((p.size for p in mlp.params()), initial=0))  # of W0, b0, W1, ...
     dz = d_out
-    dx: np.ndarray | None = None
     for l in range(mlp.n_layers - 1, -1, -1):
-        x = cache.inputs[l]
-        if isinstance(x, np.ndarray):
-            np.matmul(x.T, dz, out=grads.weights[l])
-        else:  # a first layer that reads its input as an operator
-            x.T.matmul(dz, grads.weights[l])
-        np.sum(dz, axis=0, out=grads.biases[l])
+        x, w, b = cache.inputs[l], mlp.weights[l], mlp.biases[l]
+        if l == 0 and operator_input:
+            np.sum(dz, axis=0, out=scratch[:b.size])
+            consume(start[1], scratch[:b.size])
+            rows = max(1, BLOCK // w.shape[1])
+            for row, block in x.transposed_row_blocks(dz, rows):
+                consume(start[0] + row * w.shape[1], block.ravel())
+            continue
+        grad_w = scratch[:w.size].reshape(w.shape)
+        np.matmul(x.T, dz, out=grad_w)
+        np.sum(dz, axis=0, out=scratch[w.size:w.size + b.size])
         if l > 0:
             # relu(z) > 0 exactly where z > 0, NaN and -0.0 included
-            dz = dz @ mlp.weights[l].T
-            np.multiply(dz, cache.inputs[l] > 0.0, out=dz)
+            mask = x > 0.0
+            dz = np.matmul(dz, w.T, out=x)
+            np.multiply(dz, mask, out=dz)
         elif need_input_grad:
-            dx = dz @ mlp.weights[0].T
-    return grads, dx
+            dz = np.matmul(dz, w.T, out=x)
+        consume(start[2 * l], scratch[:w.size + b.size])
+    return dz if need_input_grad else None
 
 
 ADAM_BETA1 = 0.9
@@ -221,37 +264,42 @@ def init_adam(nets: list[Mlp]) -> AdamState:
     )
 
 
-def adam_step(state: AdamState, nets: list[Mlp], grads: list[Mlp], lr: float) -> None:
-    """Standard Adam update with bias correction, applied in place.
+def adam_step(
+    state: AdamState,
+    param: np.ndarray,
+    grad: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    lr: float,
+) -> None:
+    """Standard Adam update with bias correction of the flat arrays
+    ``param`` and its moments ``first`` and ``second``, in place, from the
+    gradient ``grad``, at step ``state.step``, which the caller advances
+    once per step of all the parameters.
 
     Per element: ``m1 = b1 m1 + (1 - b1) g``, ``m2 = b2 m2 + (1 - b2) g g``
     and ``p -= lr (m1 / c1) / (sqrt(m2 / c2) + eps)`` with the bias
     corrections ``c = 1 - b**step``, each operation rounded in that order.
     """
-    if len(nets) != len(state.first) or len(grads) != len(nets):
-        raise InputError("network / gradient / moment list lengths disagree")
-    for net, grad, first in zip(nets, grads, state.first):
-        _check_shapes(net, grad, "network / gradient")
-        _check_shapes(net, first, "network / moment")
-    state.step += 1
+    if not param.size == grad.size == first.size == second.size:
+        raise InputError("parameter / gradient / moment sizes disagree")
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     work_u, work_v = state.scratch
-    for net, grad, first, second in zip(nets, grads, state.first, state.second):
-        for p, g, m1, m2 in _blocks(net.buffer, grad.buffer, first.buffer, second.buffer):
-            u, v = work_u[: p.size], work_v[: p.size]
-            m1 *= b1
-            m1 += np.multiply(1.0 - b1, g, out=u)
-            m2 *= b2
-            np.multiply(1.0 - b2, g, out=u)
-            m2 += np.multiply(u, g, out=u)
-            np.divide(m1, c1, out=u)
-            u *= lr
-            np.divide(m2, c2, out=v)
-            np.sqrt(v, out=v)
-            v += ADAM_EPS
-            p -= np.divide(u, v, out=u)
+    for p, g, m1, m2 in _blocks(param, grad, first, second):
+        u, v = work_u[: p.size], work_v[: p.size]
+        m1 *= b1
+        m1 += np.multiply(1.0 - b1, g, out=u)
+        m2 *= b2
+        np.multiply(1.0 - b2, g, out=u)
+        m2 += np.multiply(u, g, out=u)
+        np.divide(m1, c1, out=u)
+        u *= lr
+        np.divide(m2, c2, out=v)
+        np.sqrt(v, out=v)
+        v += ADAM_EPS
+        p -= np.divide(u, v, out=u)
 
 
 def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:

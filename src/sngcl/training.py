@@ -4,7 +4,8 @@ One epoch: forward the online encoder + predictor on the local view to get
 the anchor, forward the frozen target encoder on the global view to get the
 structural positive, build the neighbor positive and shuffled negatives from
 the anchor, take one Adam step on the combined objective, then EMA-update the
-target.
+target.  The Adam step runs inside backprop: each layer's gradients are
+handed to Adam as they form, so training keeps no gradient buffer.
 
 Each encoder reads its view ``H^t X`` in one of two forms, chosen once per
 input by :func:`resolve_view_inputs`.  Dense features are smoothed once
@@ -12,9 +13,11 @@ before the loop into the dense matrix ``H^t X``.  Sparse features, such as
 bag-of-words, stay sparse: the view is the operator ``H^t X`` of
 :func:`~sngcl.graph.smoothed_operator`, and the first layer computes
 ``H^t (X W)`` and its weight gradient ``X^T (H^T)^t dZ`` from sparse
-products, 64 columns at a time into arrays the epoch owns, never forming
-``H^t X``.  The rule compares the multiply-adds of the two, with a sparse one
-weighted by ``SPARSE_COST``; it reads only the input, so a seed still gives
+products, never forming ``H^t X``: the forward 64 columns at a time into
+arrays the epoch owns, the gradient's ``H^T`` chain in place over ``dZ`` and
+its ``X^T`` product in blocks of rows, each of which Adam takes at once.
+The rule compares the multiply-adds of the two, with a sparse one weighted
+by ``SPARSE_COST``; it reads only the input, so a seed still gives
 byte-identical runs.
 """
 
@@ -54,11 +57,14 @@ from .losses import (
     EmbeddingBatch,
     LossConfig,
     LossOutput,
+    loss_workspace,
     neighbor_operator,
     sample_neighbor_indices,
     total_loss,
 )
 from .nn import (
+    AdamState,
+    Consumer,
     ForwardCache,
     Mlp,
     ModelState,
@@ -68,6 +74,7 @@ from .nn import (
     mlp_backward,
     mlp_forward,
     momentum_update,
+    scratch_size,
 )
 from .rng import stream_rng
 
@@ -371,24 +378,50 @@ def _epoch_backward(
     online: Mlp,
     predictor: Mlp,
     plan: EpochPlan,
-    grads: Sequence[Mlp | None] = (None, None),
-) -> tuple[Mlp, Mlp]:
-    """Gradients for the online encoder and predictor, written into
-    ``grads`` (fresh Mlps where None).
+    consumers: Sequence[Consumer] | None = None,
+    scratch: np.ndarray | None = None,
+) -> tuple[Mlp, Mlp] | None:
+    """Backprop of the epoch's loss through the predictor, then the online
+    encoder, over the arrays of ``fwd`` and ``out``.
+
+    Each layer's gradients go, as they form, to the matching one of
+    ``consumers`` (the encoder's, the predictor's; see
+    :func:`~sngcl.nn.mlp_backward`, which also says what ``scratch`` is).
+    When None, they are collected into two fresh Mlps, which are returned.
 
     The neighbor positive is ``S @ anchor``, so its gradient reaches the
     anchor as ``S.T @ grad``, formed in ``out.grad_positive_neighbor``; the
     structural positive belongs to the frozen target and receives nothing.
     """
-    enc_out, pred_out = grads
+    grads = None
+    if consumers is None:
+        grads = (online.zeros_like(), predictor.zeros_like())
+        consumers = [_collector(g) for g in grads]
+    enc_consume, pred_consume = consumers
     d_anchor = out.grad_positive_neighbor
     sparse_chain([plan.neighbor_op.T], d_anchor, d_anchor)
     d_anchor += out.grad_anchor
-    pred_grads, dz1 = mlp_backward(predictor, fwd.cache_pred, d_anchor, grads=pred_out)
-    enc_grads, _ = mlp_backward(
-        online, fwd.cache_enc, dz1, need_input_grad=False, grads=enc_out
+    dz1 = mlp_backward(predictor, fwd.cache_pred, d_anchor, pred_consume, scratch=scratch)
+    mlp_backward(
+        online, fwd.cache_enc, dz1, enc_consume, need_input_grad=False, scratch=scratch
     )
-    return enc_grads, pred_grads
+    return grads
+
+
+def _collector(grads: Mlp) -> Consumer:
+    """A consumer that copies each gradient into ``grads``."""
+    return lambda start, grad: np.copyto(grads.buffer[start:start + grad.size], grad)
+
+
+def _adam_consumer(state: AdamState, net: Mlp, first: Mlp, second: Mlp, lr: float) -> Consumer:
+    """A consumer that takes an Adam step on the slice of ``net`` a gradient
+    belongs to, with its moments from ``first`` and ``second``."""
+
+    def consume(start: int, grad: np.ndarray) -> None:
+        span = slice(start, start + grad.size)
+        adam_step(state, net.buffer[span], grad, first.buffer[span], second.buffer[span], lr)
+
+    return consume
 
 
 def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedModel:
@@ -412,7 +445,15 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
     target = online.copy()
     trained = [online, predictor]
     optimizer = init_adam(trained)
-    grads = [net.zeros_like() for net in trained]
+    consumers = [
+        _adam_consumer(optimizer, net, first, second, config.lr)
+        for net, first, second in zip(trained, optimizer.first, optimizer.second)
+    ]
+    # one array for any single layer's gradients, which Adam takes at once
+    scratch = np.empty(max(
+        scratch_size(online, isinstance(online_input, SmoothedOperator)),
+        scratch_size(predictor),
+    ))
     state = ModelState(
         online_encoder=online,
         predictor=predictor,
@@ -421,8 +462,10 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
     )
 
     history = np.empty((config.epochs, 5))
-    # each epoch writes its n-row arrays into the previous epoch's
-    fwd = out = None
+    # each epoch writes its n-row arrays into the previous epoch's, and the
+    # loss always into arrays of its own
+    fwd = None
+    out = loss_workspace(graph.n_nodes, config.encoder_dims[-1])
     for epoch in range(1, config.epochs + 1):
         idx = sample_neighbor_indices(graph, loss_cfg.n_neighbors, rng_neighbor)
         plan = EpochPlan(
@@ -441,8 +484,8 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
             raise TrainingDivergedError(
                 f"non-finite loss {out.total} at epoch {epoch}"
             )
-        _epoch_backward(fwd, out, online, predictor, plan, grads)
-        adam_step(optimizer, trained, grads, config.lr)
+        optimizer.step += 1
+        _epoch_backward(fwd, out, online, predictor, plan, consumers, scratch)
         momentum_update(target, online, config.momentum)
         history[epoch - 1] = (epoch, out.total, out.l_struct, out.l_neighbor, out.l_upper)
         if epoch_callback is not None:

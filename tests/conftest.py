@@ -15,6 +15,7 @@ import pytest
 
 from sngcl.data import SbmConfig, generate_sbm
 from sngcl.graph import RANDOM_WALK, build_graph
+from sngcl.nn import mlp_backward
 
 
 def data_dir() -> Path:
@@ -113,6 +114,18 @@ def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (f_plus - f_minus) / (2.0 * eps)
     return grad
+
+
+def collected_backward(mlp, cache, d_out, need_input_grad=True, scratch=None):
+    """``mlp_backward`` with every gradient it hands over copied into a
+    fresh Mlp: (gradients, input gradient or None)."""
+    grads = mlp.zeros_like()
+
+    def collect(start, grad):
+        grads.buffer[start:start + grad.size] = grad
+
+    dx = mlp_backward(mlp, cache, d_out, collect, need_input_grad, scratch)
+    return grads, dx
 
 
 @pytest.fixture()

@@ -26,7 +26,7 @@ from sngcl.graph import (
     smoothed_operator,
     sparse_chain,
 )
-from sngcl.nn import init_mlp, mlp_backward, mlp_forward
+from sngcl.nn import init_mlp, mlp_backward, mlp_forward, scratch_size
 
 
 def test_build_graph_symmetrizes_and_collapses_duplicates():
@@ -202,7 +202,8 @@ def test_smoothed_operator_products_match_smooth_features(mode, t):
     x = smooth_features(g, t, mode)
     assert op.shape == x.shape
     assert rel_err(op.matmul(w), x @ w) <= 1e-12
-    assert rel_err(op.T.matmul(dz), x.T @ dz) <= 1e-12
+    transposed = np.vstack([block for _, block in op.transposed_row_blocks(dz.copy(), 7)])
+    assert rel_err(transposed, x.T @ dz) <= 1e-12
 
 
 def test_smoothed_operator_rejects_bad_depth_and_mode(path_graph):
@@ -261,6 +262,23 @@ def test_sparse_chain_gives_the_unblocked_products_bit_for_bit(mode, t, width):
         assert inplace.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("t", [0, 1, 3])
+@pytest.mark.parametrize("rows", [1, 7, 200])
+def test_transposed_row_blocks_give_the_csc_product_bit_for_bit(mode, t, rows):
+    # the CSR X^T adds each element's node terms in the order the CSC X.T does
+    g = sparse_feature_graph()
+    h, x = propagation_matrix(g, mode), sp.csr_matrix(g.features)
+    dz = np.random.default_rng(t).standard_normal((g.n_nodes, 2 * CHAIN_COLUMNS + 1))
+    want = _unblocked([h.T] * t + [x.T], dz)
+    g_out = dz.copy()
+    blocks = list(smoothed_operator(g, t, mode).transposed_row_blocks(g_out, rows))
+    assert [row for row, _ in blocks] == list(range(0, g.n_features, rows))
+    assert np.vstack([block for _, block in blocks]).tobytes() == want.tobytes()
+    # the H^T chain ran in place over the given array
+    assert g_out.tobytes() == _unblocked([h.T] * t, dz).tobytes()
+
+
 def _allocated_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -273,8 +291,9 @@ def _allocated_peak(fn) -> int:
 def test_a_factorised_first_layer_writes_its_products_into_given_arrays():
     # Unblocked, the forward makes t + 1 arrays of n x hidden and the weight
     # gradient t of them plus an n_features x hidden product, and each peaked
-    # at 2.0 such arrays here; 64 columns at a time, each holds a few n x 64
-    # blocks at once and peaks at 0.13.
+    # at 2.0 such arrays here.  The forward runs 64 columns at a time, and the
+    # gradient's H^T chain runs in place over dZ and its X^T product a block
+    # of rows at a time, so each holds a few blocks at once and peaks at 0.13.
     g = sparse_feature_graph(n=1000)
     hidden = 16 * CHAIN_COLUMNS
     op = smoothed_operator(g, 3, SYMMETRIC)
@@ -282,14 +301,20 @@ def test_a_factorised_first_layer_writes_its_products_into_given_arrays():
     _, cache = mlp_forward(layer, op)
     grads = layer.zeros_like()
     dz = np.random.default_rng(1).standard_normal((g.n_nodes, hidden))
+    dense = smooth_features(g, 3, SYMMETRIC)
+    want_grad = dense.T @ dz
+    scratch = np.empty(scratch_size(layer, operator_input=True))
+
+    def collect(start, grad):
+        grads.buffer[start:start + grad.size] = grad
+
     one = g.n_nodes * hidden * 8  # one n x hidden float64 array: 8.2 MB
     forward = _allocated_peak(lambda: mlp_forward(layer, op, cache))
     assert forward < one, forward
     backward = _allocated_peak(
-        lambda: mlp_backward(layer, cache, dz, need_input_grad=False, grads=grads)
+        lambda: mlp_backward(layer, cache, dz, collect, need_input_grad=False, scratch=scratch)
     )
     assert backward < one, backward
     # and both wrote into the arrays given
-    dense = smooth_features(g, 3, SYMMETRIC)
     assert rel_err(cache.output, dense @ layer.weights[0]) <= 1e-12
-    assert rel_err(grads.weights[0], dense.T @ dz) <= 1e-12
+    assert rel_err(grads.weights[0], want_grad) <= 1e-12

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import numeric_grad
+from conftest import collected_backward, numeric_grad
 
 from sngcl.errors import InputError
 from sngcl.nn import (
@@ -20,6 +20,7 @@ from sngcl.nn import (
     mlp_backward,
     mlp_forward,
     momentum_update,
+    scratch_size,
 )
 from sngcl.rng import stream_rng
 
@@ -106,8 +107,9 @@ def test_backward_matches_finite_differences(dims):
         y, _ = mlp_forward(mlp, x)
         return float((y * c).sum())
 
-    y, cache = mlp_forward(mlp, x)
-    grads, dx = mlp_backward(mlp, cache, c)
+    # backprop writes the input gradient into the cache's input array
+    y, cache = mlp_forward(mlp, x.copy())
+    grads, dx = collected_backward(mlp, cache, c)
 
     for l in range(mlp.n_layers):
         fd_w = numeric_grad(scalar, mlp.weights[l])
@@ -121,26 +123,42 @@ def test_backward_matches_finite_differences(dims):
 def test_backward_can_skip_the_input_gradient():
     mlp = init_mlp([5, 4, 2], stream_rng(2, "init"))
     x = np.random.default_rng(3).standard_normal((6, 5))
-    y, cache = mlp_forward(mlp, x)
-    grads_full, dx = mlp_backward(mlp, cache, np.ones_like(y))
-    grads_skip, none = mlp_backward(mlp, cache, np.ones_like(y), need_input_grad=False)
+    results = []
+    for need in (True, False):
+        # backprop overwrites the cache, so each pass gets a forward of its own
+        y, cache = mlp_forward(mlp, x.copy())
+        results.append(collected_backward(mlp, cache, np.ones_like(y), need_input_grad=need))
+    (grads_full, dx), (grads_skip, none) = results
     assert none is None
     assert dx is not None
+    assert cache.inputs[0].tobytes() == x.tobytes()  # left as it was
     for a, b in zip(grads_full.params(), grads_skip.params()):
         np.testing.assert_array_equal(a, b)
 
 
 def test_backward_writes_into_the_given_gradient_buffers():
+    # Each layer's weight and bias gradients are formed next to each other in
+    # the scratch array given and handed over as one slice of it, the last
+    # layer first; the input gradients go into the cache's input arrays.
     mlp = init_mlp([5, 4, 2], stream_rng(2, "init"))
     x = np.random.default_rng(3).standard_normal((6, 5))
-    y, cache = mlp_forward(mlp, x)
-    fresh, _ = mlp_backward(mlp, cache, y)
-    out = mlp.zeros_like()
-    got, _ = mlp_backward(mlp, cache, y, grads=out)
-    assert got is out
-    assert got.buffer.tobytes() == fresh.buffer.tobytes()
-    with pytest.raises(InputError, match="shapes disagree"):
-        mlp_backward(mlp, cache, y, grads=init_mlp([5, 3, 2], stream_rng(2, "init")))
+    want, want_dx = collected_backward(mlp, mlp_forward(mlp, x.copy())[1], np.ones((6, 2)))
+    _, cache = mlp_forward(mlp, x.copy())
+    inputs = list(cache.inputs)
+    scratch = np.full(scratch_size(mlp), np.nan)
+    handed = []
+
+    def consume(start, grad):
+        assert np.shares_memory(grad, scratch)
+        handed.append((start, grad.copy()))
+
+    dx = mlp_backward(mlp, cache, np.ones((6, 2)), consume, scratch=scratch)
+    assert dx is inputs[0]
+    assert dx.tobytes() == want_dx.tobytes()
+    assert [start for start, _ in handed] == [5 * 4 + 4, 0]
+    assert np.concatenate([g for _, g in handed[::-1]]).tobytes() == want.buffer.tobytes()
+    with pytest.raises(InputError, match="scratch holds 13 elements, needs 24"):
+        mlp_backward(mlp, cache, np.ones((6, 2)), consume, scratch=np.empty(13))
 
 
 def test_mlp_tensors_are_views_of_one_buffer():
@@ -160,7 +178,11 @@ def test_backward_rejects_wrong_output_shape():
     mlp = init_mlp([3, 2], stream_rng(0, "init"))
     _, cache = mlp_forward(mlp, np.zeros((4, 3)))
     with pytest.raises(InputError, match="d_out"):
-        mlp_backward(mlp, cache, np.zeros((4, 3)))
+        mlp_backward(mlp, cache, np.zeros((4, 3)), lambda start, grad: None)
+
+
+def _moments(state, i=0):
+    return state.first[i].buffer, state.second[i].buffer
 
 
 def test_adam_first_step_has_learning_rate_magnitude():
@@ -168,9 +190,9 @@ def test_adam_first_step_has_learning_rate_magnitude():
     # lr * g / (|g| + eps): the learning rate itself, up to eps.
     p = Mlp([np.zeros((1, 1))], [np.zeros(1)])
     state = init_adam([p])
-    adam_step(state, [p], [Mlp([np.full((1, 1), 10.0)], [np.full(1, 10.0)])], lr=0.1)
+    state.step = 1
+    adam_step(state, p.buffer, np.full(2, 10.0), *_moments(state), lr=0.1)
     assert p.buffer == pytest.approx([-0.1, -0.1], abs=1e-6)
-    assert state.step == 1
 
 
 def test_adam_matches_scalar_reference_over_many_steps():
@@ -187,7 +209,8 @@ def test_adam_matches_scalar_reference_over_many_steps():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref_p -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        adam_step(state, [p], [Mlp([np.full((1, 1), g)], [np.full(1, g)])], lr=lr)
+        state.step = t
+        adam_step(state, p.buffer, np.full(2, g), *_moments(state), lr=lr)
         assert p.buffer == pytest.approx([ref_p, ref_p], abs=1e-14)
 
 
@@ -195,13 +218,14 @@ def test_adam_updates_in_place_and_checks_shapes():
     p = Mlp([np.zeros((2, 2))], [np.zeros(2)])
     original = p.buffer
     state = init_adam([p])
-    adam_step(state, [p], [Mlp([np.ones((2, 2))], [np.ones(2)])], lr=0.1)
+    state.step = 1
+    adam_step(state, p.buffer, np.ones(6), *_moments(state), lr=0.1)
     assert p.buffer is original
     assert np.all(p.buffer != 0.0)
-    with pytest.raises(InputError):
-        adam_step(state, [p], [Mlp([np.ones((2, 3))], [np.ones(3)])], lr=0.1)
-    with pytest.raises(InputError):
-        adam_step(state, [p, p], [Mlp([np.ones((2, 2))], [np.ones(2)])], lr=0.1)
+    with pytest.raises(InputError, match="sizes disagree"):
+        adam_step(state, p.buffer, np.ones(5), *_moments(state), lr=0.1)
+    with pytest.raises(InputError, match="sizes disagree"):
+        adam_step(state, p.buffer[:4], np.ones(4), *_moments(state), lr=0.1)
 
 
 def _reference_adam_step(params, grads, m1s, m2s, t, lr):
@@ -238,14 +262,15 @@ def test_adam_is_bitwise_equal_to_the_allocating_formula():
     ref_m1 = [np.zeros_like(p) for p in params]
     ref_m2 = [np.zeros_like(p) for p in params]
     state = init_adam(nets)
+    m1 = [m for net in state.first for m in net.params()]
+    m2 = [m for net in state.second for m in net.params()]
     for t in range(1, 21):
-        grads = [_scaled_like(net, rng) for net in nets]
-        adam_step(state, nets, grads, lr=1e-3)
-        _reference_adam_step(
-            ref, [g for net in grads for g in net.params()], ref_m1, ref_m2, t, 1e-3
-        )
-        m1 = [m for net in state.first for m in net.params()]
-        m2 = [m for net in state.second for m in net.params()]
+        grads = [g for net in nets for g in _scaled_like(net, rng).params()]
+        # one tensor at a time, as backprop hands them over
+        state.step = t
+        for p, g, a, b in zip(params, grads, m1, m2):
+            adam_step(state, p.reshape(-1), g.reshape(-1), a.reshape(-1), b.reshape(-1), lr=1e-3)
+        _reference_adam_step(ref, grads, ref_m1, ref_m2, t, 1e-3)
         for got, want in zip(params + m1 + m2, ref + ref_m1 + ref_m2):
             assert got.tobytes() == want.tobytes()
 
@@ -262,7 +287,8 @@ def test_adam_over_several_blocks_is_bitwise_equal_to_the_elementwise_formula():
     state = init_adam([net])
     for t in range(1, 4):
         grad = _scaled_like(net, rng)
-        adam_step(state, [net], [grad], lr=1e-3)
+        state.step = t
+        adam_step(state, net.buffer, grad.buffer, *_moments(state), lr=1e-3)
         _reference_adam_step([ref], [grad.buffer], [ref_m1], [ref_m2], t, 1e-3)
         assert net.buffer.tobytes() == ref.tobytes()
         assert state.first[0].buffer.tobytes() == ref_m1.tobytes()
@@ -276,10 +302,12 @@ def test_an_adam_step_allocates_nothing_the_size_of_a_parameter_tensor():
     net = init_mlp(BLOCKED_DIMS, stream_rng(0, "init"))
     grad = _scaled_like(net, np.random.default_rng(13))
     state = init_adam([net])
-    adam_step(state, [net], [grad], lr=1e-3)
+    state.step = 1
+    adam_step(state, net.buffer, grad.buffer, *_moments(state), lr=1e-3)
+    state.step = 2
     tracemalloc.start()
     try:
-        adam_step(state, [net], [grad], lr=1e-3)
+        adam_step(state, net.buffer, grad.buffer, *_moments(state), lr=1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

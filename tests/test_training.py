@@ -10,6 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from conftest import numeric_grad, rel_err, rewrite_checkpoint_metadata, sparse_feature_graph
+from test_nn import _reference_adam_step
 
 import sngcl.graph as graph_module
 import sngcl.training as training
@@ -24,7 +25,7 @@ from sngcl.errors import (
 from sngcl.data import SbmConfig, generate_sbm
 from sngcl.graph import Graph, SmoothedOperator
 from sngcl.losses import LossConfig, neighbor_operator, sample_neighbor_indices, total_loss
-from sngcl.nn import init_mlp, mlp_forward
+from sngcl.nn import init_mlp, mlp_forward, momentum_update
 from sngcl.rng import stream_rng
 from sngcl.training import (
     EpochPlan,
@@ -291,7 +292,7 @@ def test_a_graph_derives_its_operators_once(sbm_tiny, monkeypatch, sparse):
         )
 
     builds = Counter()
-    for name in ("_build_propagation", "_build_csr_features"):
+    for name in ("_build_propagation", "_build_csr_features", "_build_transposed_features"):
         def counting(graph, *mode, real=getattr(graph_module, name), name=name):
             builds[(name, *mode)] += 1
             return real(graph, *mode)
@@ -304,7 +305,7 @@ def test_a_graph_derives_its_operators_once(sbm_tiny, monkeypatch, sparse):
     assert builds == {
         ("_build_propagation", "symmetric"): 1,
         ("_build_propagation", "random-walk"): 1,
-        **({("_build_csr_features",): 1} if sparse else {}),
+        **({("_build_csr_features",): 1, ("_build_transposed_features",): 1} if sparse else {}),
     }
     other = fresh_copy()
     for output, emb in zip(outputs, embeddings):
@@ -403,15 +404,16 @@ def test_training_memory_does_not_grow_with_the_number_of_negatives():
 def test_an_epoch_holds_few_n_row_arrays_beyond_the_persistent_state():
     # The forward cache keeps layer inputs and outputs only, the ReLU, its
     # mask and the loss gradients are applied in place, and each epoch writes
-    # into the previous epoch's arrays.  Above the parameters, the target, the
-    # gradients and Adam's two moments, training then peaks at 6.1 arrays of
-    # n x hidden float64, against 8.4 with the previous epoch's arrays kept
+    # into the previous epoch's arrays.  Above the parameters, the target and
+    # Adam's two moments, training peaks at 6.6 arrays of n x hidden float64.
+    # With a gradient buffer as well (0.5 such arrays here), it peaked at 6.1
+    # above all three, against 8.4 with the previous epoch's arrays kept
     # through the next and 13.4-13.7 with the pre-activations kept and fresh
     # arrays for the mask and the gradients.
     graph = generate_sbm(SbmConfig(nodes_per_block=200, n_blocks=2, seed=0))
     enc_dims, pred_dims = [16, 256, 64], [64, 256, 64]
     enc, pred = (sum((a + 1) * b for a, b in zip(d, d[1:])) for d in (enc_dims, pred_dims))
-    persistent = 8 * (2 * enc + pred + 3 * (enc + pred))
+    persistent = 8 * (2 * enc + pred + 2 * (enc + pred))
     peak = _train_peak(
         graph, small_config(epochs=2, encoder_dims=enc_dims, predictor_dims=pred_dims)
     )
@@ -437,6 +439,82 @@ def test_later_epochs_hold_no_more_memory_than_the_first(factorised):
     one, three = (_train_peak(graph, small_config(epochs=e, **dims)) for e in (1, 3))
     hidden = graph.n_nodes * 256 * 8  # one n x hidden float64 array
     assert (three - one) / hidden <= 0.5, (one, three)
+
+
+def test_training_keeps_no_gradient_buffer():
+    # Adam takes each layer's gradients as backprop forms them, from one
+    # scratch array the size of the largest dense layer or from row blocks of
+    # the factorised first layer's product.  Above the parameters, the target
+    # and Adam's two moments, a 3-epoch train then peaks at 1.37 times the
+    # size of the two trained networks here, against 2.36 with a gradient
+    # buffer as large as both kept beside them.
+    graph = sparse_feature_graph()
+    dims = dict(encoder_dims=[200, 4096, 16], predictor_dims=[16, 64, 16])
+    enc, pred = (sum((a + 1) * b for a, b in zip(d, d[1:])) for d in dims.values())
+    persistent = 8 * (2 * enc + pred + 2 * (enc + pred))
+    gradients = 8 * (enc + pred)  # 7.1 MB
+    peak = _train_peak(graph, small_config(epochs=3, **dims))
+    assert (peak - persistent) / gradients < 1.75, (peak, persistent)
+
+
+def _reference_train(graph, config):
+    """``train``'s loop with the gradients taken in full from
+    ``_epoch_backward`` and then the allocating Adam formula over each
+    network's buffer: (history, online, predictor, target, moments)."""
+    config = config.resolved(graph.n_features)
+    online_input, target_input = resolve_view_inputs(graph, config.t, config.view_mode)
+    rng_init, rng_shuffle, rng_neighbor = (
+        stream_rng(config.seed, name) for name in ("init", "shuffle", "neighbor")
+    )
+    online = init_mlp(config.encoder_dims, rng_init)
+    predictor = init_mlp(config.predictor_dims, rng_init)
+    target = online.copy()
+    nets = [online, predictor]
+    moments = [np.zeros(net.buffer.size) for net in nets + nets]
+    history = np.empty((config.epochs, 5))
+    for epoch in range(1, config.epochs + 1):
+        idx = sample_neighbor_indices(graph, config.loss.n_neighbors, rng_neighbor)
+        plan = EpochPlan(
+            neighbor_op=neighbor_operator(idx),
+            permutations=[rng_shuffle.permutation(graph.n_nodes) for _ in range(config.loss.k)],
+        )
+        fwd = _epoch_forward(online, predictor, target, online_input, target_input, plan)
+        out = total_loss(fwd.batch, config.loss)
+        grads = _epoch_backward(fwd, out, online, predictor, plan)
+        _reference_adam_step(
+            [net.buffer for net in nets], [g.buffer for g in grads],
+            moments[:2], moments[2:], epoch, config.lr,
+        )
+        momentum_update(target, online, config.momentum)
+        history[epoch - 1] = (epoch, out.total, out.l_struct, out.l_neighbor, out.l_upper)
+    return history, online, predictor, target, moments
+
+
+@pytest.mark.parametrize("view_mode", [VIEW_BOTH, VIEW_GLOBAL_ONLY])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_adam_inside_backprop_gives_the_reference_epoch_bit_for_bit(view_mode, sparse):
+    # Wide enough that a dense layer spans two Adam blocks and the factorised
+    # first layer's weight gradient three blocks of rows.
+    if sparse:
+        graph = sparse_feature_graph()
+        dims = dict(encoder_dims=[200, 700, 64], predictor_dims=[64, 1100, 64])
+    else:
+        graph = generate_sbm(SbmConfig(nodes_per_block=200, n_blocks=2, seed=0))
+        dims = dict(encoder_dims=[16, 700, 64], predictor_dims=[64, 1100, 64])
+    config = small_config(epochs=3, view_mode=view_mode, **dims)
+    online_input, _ = resolve_view_inputs(graph, config.t, view_mode)
+    assert isinstance(online_input, SmoothedOperator) == sparse
+    model = train(graph, config)
+    history, online, predictor, target, moments = _reference_train(graph, config)
+    state = model.model
+    assert model.history.tobytes() == history.tobytes()
+    got = [state.online_encoder, state.predictor, state.target_encoder]
+    for net, want in zip(got, (online, predictor, target)):
+        assert net.buffer.tobytes() == want.buffer.tobytes()
+    opt = state.optimizer
+    assert opt.step == 3
+    for m, want in zip(opt.first + opt.second, moments):
+        assert m.buffer.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("sparse", [False, True])
