@@ -6,6 +6,7 @@ downstream node classification.  Everything else stays importable from its
 submodule (``sngcl.training``, ``sngcl.losses``, ...).
 """
 
+from .checkpoint import load_checkpoint, save_checkpoint, write_history
 from .data import SbmConfig, generate_sbm, load_canonical, save_canonical
 from .errors import (
     CheckpointCorruptionError,
@@ -22,14 +23,7 @@ from .errors import (
 from .evaluation import SplitSpec, evaluate_embeddings
 from .graph import RANDOM_WALK, SYMMETRIC, build_graph, smooth_features
 from .losses import LossConfig
-from .training import (
-    TrainConfig,
-    encode,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    write_history,
-)
+from .training import TrainConfig, encode, train
 
 __version__ = "0.1.0"
 

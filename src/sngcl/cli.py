@@ -17,6 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
+from .checkpoint import load_checkpoint, save_checkpoint, write_history
 from .data import (
     SbmConfig,
     export_embeddings,
@@ -24,6 +25,7 @@ from .data import (
     load_canonical,
     load_planetoid,
     read_key_values,
+    replacing,
     save_canonical,
 )
 from .errors import InputError, ParseError, SngclError
@@ -36,15 +38,11 @@ from .training import (
     VIEW_BOTH,
     VIEW_FILTERS,
     TrainConfig,
-    _config_to_lines,
-    _replacing,
     config_from_values,
+    config_lines,
     encode,
     int_list,
-    load_checkpoint,
-    save_checkpoint,
     train,
-    write_history,
 )
 
 # File names inside a training run directory.
@@ -86,7 +84,7 @@ def _emit(metadata: list[str], sections: list, path) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with _replacing(path) as f:
+        with replacing(path) as f:
             f.write(text.encode("utf-8"))
 
 
@@ -151,7 +149,7 @@ def cmd_train(args) -> int:
         "command=train",
         f"data={args.data}",
         f"out={out}",
-        *_config_to_lines(model.config).splitlines(),
+        *config_lines(model.config).splitlines(),
         f"load_s={t_load - t0:.3f}",
         f"train_s={t_train - t_load:.3f}",
         f"save_s={t_save - t_train:.3f}",
@@ -243,7 +241,7 @@ def cmd_ablate(args) -> int:
         "command=ablate",
         f"data={args.data}",
         "train_seeds=" + ",".join(str(s) for s in args.train_seeds),
-        *_config_to_lines(config.resolved(graph.n_features), args.hyperparameters).splitlines(),
+        *config_lines(config.resolved(graph.n_features), args.hyperparameters).splitlines(),
         f"train_per_class={spec.train_per_class}",
         f"val_total={spec.val_total}",
         f"embedding={args.embedding}",

@@ -2,11 +2,15 @@
 a stochastic block model generator, and embedding export.
 
 The canonical dataset files and exported embeddings are tab-separated text,
-read with ``np.loadtxt`` and written with ``np.savetxt``."""
+read with ``np.loadtxt`` and written with ``np.savetxt``.  Every file the
+package writes goes through :func:`replacing`, so a failed write leaves the
+previous file in place."""
 
 from __future__ import annotations
 
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +19,24 @@ import scipy.sparse as sp
 
 from .errors import InputError, IntegrityError, ParseError
 from .graph import Graph, build_graph
-from .training import _replacing
+
+
+@contextmanager
+def replacing(path):
+    """A binary file that takes ``path``'s place only when the block exits
+    cleanly; on an error the old file stays and the partial one is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # name the path asked for, not the temporary one with its process id
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
 
 
 @dataclass
@@ -123,17 +144,17 @@ def save_canonical(graph: Graph, directory) -> None:
         f"n_classes={graph.n_classes or 0}\n"
         f"n_edges={upper.nnz}\n"
     )
-    with _replacing(directory / MANIFEST_NAME) as f:
+    with replacing(directory / MANIFEST_NAME) as f:
         f.write(manifest.encode("utf-8"))
 
-    with _replacing(directory / EDGES_NAME) as f:
+    with replacing(directory / EDGES_NAME) as f:
         np.savetxt(f, np.column_stack([upper.row, upper.col]), fmt="%d", delimiter="\t")
 
-    with _replacing(directory / FEATURES_NAME) as f:
+    with replacing(directory / FEATURES_NAME) as f:
         np.savetxt(f, graph.features, fmt="%.17g", delimiter="\t")
 
     labels = graph.labels if graph.labels is not None else np.full(graph.n_nodes, -1)
-    with _replacing(directory / LABELS_NAME) as f:
+    with replacing(directory / LABELS_NAME) as f:
         np.savetxt(f, labels, fmt="%d")
 
 
@@ -315,5 +336,5 @@ def export_embeddings(path, embeddings: np.ndarray, node_ids=None) -> None:
     if node_ids is not None:
         embeddings = np.column_stack([np.asarray(node_ids, dtype=object), embeddings])
         fmt = ["%s", *fmt]
-    with _replacing(path) as f:
+    with replacing(path) as f:
         np.savetxt(f, embeddings, fmt=fmt, delimiter="\t", encoding="utf-8")

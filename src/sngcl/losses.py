@@ -45,6 +45,9 @@ class LossConfig:
     omega2: float = field(default=1.0, metadata={"help": "neighbor-loss weight"})
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         # written so that NaN fails too: it would switch every hinge off
         for name in ("alpha", "beta", "omega1", "omega2"):
             value = getattr(self, name)

@@ -11,17 +11,12 @@ from conftest import rewrite_checkpoint_metadata
 
 import sngcl
 import sngcl.training as training
+from sngcl.checkpoint import load_checkpoint, save_checkpoint
 from sngcl.cli import run_command
 from sngcl.data import load_canonical, read_key_values
 from sngcl.errors import ParseError
 from sngcl.graph import RANDOM_WALK, SYMMETRIC, SmoothedOperator, smooth_features
-from sngcl.training import (
-    HYPERPARAMETERS,
-    TrainConfig,
-    config_values,
-    load_checkpoint,
-    save_checkpoint,
-)
+from sngcl.training import HYPERPARAMETERS, TrainConfig, config_values
 
 
 @pytest.fixture()
@@ -780,7 +775,7 @@ def _write_embeddings(tmp_path, version):
 def test_a_write_failing_partway_keeps_the_earlier_file(tmp_path, monkeypatch, writer, target):
     import builtins
 
-    import sngcl.training as training
+    import sngcl.data as data
 
     out = tmp_path / "out"
     out.mkdir()
@@ -788,11 +783,11 @@ def test_a_write_failing_partway_keeps_the_earlier_file(tmp_path, monkeypatch, w
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert target in before
 
-    def open_failing_target(path, mode):
-        f = builtins.open(path, mode)
+    def open_failing_target(path, mode="r", **kwargs):  # data.py also opens files to read
+        f = builtins.open(path, mode, **kwargs)
         return _DiskFullFile(f) if f".{target}." in str(path) else f
 
-    monkeypatch.setattr(training, "open", open_failing_target, raising=False)
+    monkeypatch.setattr(data, "open", open_failing_target, raising=False)
     with pytest.raises(OSError, match="no space"):
         writer(tmp_path, 1)
     assert (out / target).read_bytes() == before[target]

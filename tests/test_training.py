@@ -12,8 +12,10 @@ import pytest
 from conftest import numeric_grad, rel_err, rewrite_checkpoint_metadata, sparse_feature_graph
 from test_nn import _reference_adam_step
 
+import sngcl.checkpoint as checkpoint
 import sngcl.graph as graph_module
 import sngcl.training as training
+from sngcl.checkpoint import load_checkpoint, save_checkpoint, write_history
 from sngcl.errors import (
     CheckpointCorruptionError,
     CheckpointError,
@@ -36,11 +38,8 @@ from sngcl.training import (
     _epoch_backward,
     _epoch_forward,
     encode,
-    load_checkpoint,
     resolve_view_inputs,
-    save_checkpoint,
     train,
-    write_history,
 )
 
 SMALL = dict(encoder_dims=[16, 12, 6], predictor_dims=[6, 10, 6])
@@ -191,6 +190,19 @@ def test_learning_rate_must_be_finite_and_non_negative(sbm_tiny, lr):
     with pytest.raises(InputError, match="lr must be finite and >= 0"):
         train(sbm_tiny, small_config(epochs=1, lr=lr))
     train(sbm_tiny, small_config(epochs=1, lr=0.0))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", float("nan")), ("beta", float("nan")), ("alpha", -5.0), ("omega2", float("nan")),
+])
+def test_loss_fields_set_after_construction_are_checked_before_epoch_1(sbm_tiny, name, value):
+    # a NaN margin reads False in every hinge mask and trains at loss 0.0
+    config = small_config(epochs=2)
+    setattr(config.loss, name, value)
+    epochs = []
+    with pytest.raises(InputError, match=f"{name} must be finite and >= 0"):
+        train(sbm_tiny, config, epoch_callback=lambda epoch, state: epochs.append(epoch))
+    assert epochs == []
 
 
 def test_non_finite_loss_aborts_with_the_epoch_number(sbm_tiny, monkeypatch):
@@ -579,10 +591,10 @@ RETIRED_LINES = "normalize_embeddings=0\nanchor_mode=predictor\n"
 
 def test_checkpoint_metadata_keeps_the_version_1_text():
     config = TrainConfig().resolved(16)
-    text = training._config_to_lines(config)
+    text = training.config_lines(config)
     assert text + ADAM_LINES == V1_DEFAULT_METADATA.replace(RETIRED_LINES, "")
-    assert training._config_from_lines(V1_DEFAULT_METADATA) == config
-    assert training._config_from_lines(text) == config
+    assert checkpoint._config_from_lines(V1_DEFAULT_METADATA) == config
+    assert checkpoint._config_from_lines(text) == config
 
 
 def test_hyperparameter_table_covers_both_configs_once():
@@ -599,9 +611,9 @@ def test_hyperparameter_table_covers_both_configs_once():
 
 def test_checkpoint_metadata_errors_are_corruption():
     with pytest.raises(CheckpointCorruptionError, match="missing key 'omega2'"):
-        training._config_from_lines(V1_DEFAULT_METADATA.replace("omega2=1.0\n", ""))
+        checkpoint._config_from_lines(V1_DEFAULT_METADATA.replace("omega2=1.0\n", ""))
     with pytest.raises(CheckpointCorruptionError, match="malformed"):
-        training._config_from_lines(V1_DEFAULT_METADATA.replace("k=5", "k=five"))
+        checkpoint._config_from_lines(V1_DEFAULT_METADATA.replace("k=5", "k=five"))
     # values that parse but that no training run can have written
     for old, new in (
         ("view_mode=both", "view_mode=bovh"),
@@ -614,13 +626,13 @@ def test_checkpoint_metadata_errors_are_corruption():
         ("omega1=1.0", "omega1=inf"),
     ):
         with pytest.raises(CheckpointCorruptionError, match="malformed"):
-            training._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
+            checkpoint._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
 
 
 def test_checkpoint_metadata_with_a_negative_seed_is_corruption():
     # the rule and message of stream_rng, checked where the metadata is read
     with pytest.raises(CheckpointCorruptionError, match="seed must be >= 0, got -1"):
-        training._config_from_lines(V1_DEFAULT_METADATA.replace("seed=0", "seed=-1"))
+        checkpoint._config_from_lines(V1_DEFAULT_METADATA.replace("seed=0", "seed=-1"))
     with pytest.raises(InputError, match="seed must be >= 0, got -1"):
         small_config(seed=-1).resolved(16).validate(16)
 
@@ -633,7 +645,7 @@ def test_checkpoint_metadata_with_a_negative_seed_is_corruption():
 def test_checkpoint_metadata_with_a_width_below_one_is_corruption(old, new):
     name = new.partition("=")[0]
     with pytest.raises(CheckpointCorruptionError, match=f"{name} must be >= 2 positive"):
-        training._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
+        checkpoint._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
 
 
 def test_checkpoint_roundtrip_preserves_everything(tmp_path, sbm_tiny):
@@ -767,7 +779,7 @@ def test_checkpoint_with_optimizer_state_still_loads(tmp_path, sbm_tiny):
         tensors = [m for net in moments for m in net.params()]
         items += [(f"optimizer/{key}/{i}", m) for i, m in enumerate(tensors)]
     items += [("optimizer/step", np.array([float(opt.step)])), ("history", model.history)]
-    meta = training._config_to_lines(model.config).replace(
+    meta = training.config_lines(model.config).replace(
         "\nencoder_dims=", "\nnormalize_embeddings=1\nanchor_mode=encoder\nencoder_dims="
     )
     assert "anchor_mode=encoder" in meta
@@ -776,7 +788,7 @@ def test_checkpoint_with_optimizer_state_still_loads(tmp_path, sbm_tiny):
     with open(old, "wb") as f:
         f.write(b"SNGCL\x01" + struct.pack("<Q", len(meta)) + meta)
         for name, arr in items:
-            training._write_tensor(f, name, arr)
+            checkpoint._write_tensor(f, name, arr)
 
     loaded = load_checkpoint(old)
     assert loaded.config == model.config
@@ -857,7 +869,7 @@ def test_checkpoint_short_read_is_corruption(tmp_path, sbm_tiny, monkeypatch):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     size = os.stat_result((0,) * 6 + (len(raw),) + (0,) * 3)  # st_size is field 6
-    monkeypatch.setattr(training.os, "fstat", lambda fd: size)
+    monkeypatch.setattr(checkpoint.os, "fstat", lambda fd: size)
     with pytest.raises(CheckpointCorruptionError, match="'history' ends early"):
         load_checkpoint(path)
 
@@ -924,7 +936,7 @@ def test_failed_save_leaves_the_previous_checkpoint_in_place(tmp_path, sbm_tiny,
     save_checkpoint(train(sbm_tiny, small_config(epochs=1)), path)
     before = path.read_bytes()
 
-    write_tensor = training._write_tensor
+    write_tensor = checkpoint._write_tensor
     written = []
 
     def fail_after_the_first_record(f, name, arr):
@@ -933,7 +945,7 @@ def test_failed_save_leaves_the_previous_checkpoint_in_place(tmp_path, sbm_tiny,
         written.append(name)
         write_tensor(f, name, arr)
 
-    monkeypatch.setattr(training, "_write_tensor", fail_after_the_first_record)
+    monkeypatch.setattr(checkpoint, "_write_tensor", fail_after_the_first_record)
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(train(sbm_tiny, small_config(epochs=2, seed=1)), path)
     assert written == ["online_encoder/w0"]
