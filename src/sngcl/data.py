@@ -2,9 +2,13 @@
 a stochastic block model generator, and embedding export.
 
 The canonical dataset files and exported embeddings are tab-separated text,
-read with ``np.loadtxt`` and written with ``np.savetxt``.  Every file the
-package writes goes through :func:`replacing`, so a failed write leaves the
-previous file in place."""
+written with ``np.savetxt``.  The edge and label tables are read with
+``np.loadtxt``.  The feature table, mostly ``0`` fields in a bag-of-words
+graph, is read in chunks of lines: each chunk hands ``np.loadtxt`` only its
+other fields and leaves the rest zero.  A table whose layout that reader
+cannot verify goes to ``np.loadtxt`` whole, which names what is wrong.  Every
+file the package writes goes through :func:`replacing`, so a failed write
+leaves the previous file in place."""
 
 from __future__ import annotations
 
@@ -215,6 +219,100 @@ def _read_table(
     return table
 
 
+TABLE_CHUNK_BYTES = 1 << 17  # what the feature reader parses at once
+
+
+def _line_chunks(f):
+    """The bytes of ``f`` in pieces of about ``TABLE_CHUNK_BYTES`` that each
+    end with a newline; a last line without one is given one."""
+    tail = b""
+    while block := f.read(TABLE_CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield tail + block[:cut]
+            tail = block[cut:]
+        else:
+            tail += block
+    if tail:
+        yield tail if tail.endswith(b"\n") else tail + b"\n"
+
+
+def _nonzero_fields(chunk: bytes, width: int) -> tuple[int, np.ndarray | slice, np.ndarray] | None:
+    """The fields other than ``0`` of a chunk of whole lines: ``(lines,
+    index, values)``, where ``values`` fill ``index`` of the chunk's flat
+    ``(lines, width)`` table.  None when the chunk is not lines of ``width``
+    nonempty tab-separated fields, or when ``np.loadtxt`` rejects one of the
+    fields it is given."""
+    if b"\r" in chunk:  # np.loadtxt also ends a line at a CR
+        return None
+    text = np.frombuffer(chunk, np.uint8)
+    newline = text == 10
+    sep = newline | (text == 9)
+    starts_field = np.empty_like(sep)
+    starts_field[0] = True
+    starts_field[1:] = sep[:-1]
+    if (sep & starts_field).any():  # an empty field or a blank line
+        return None
+    zero = (text == 48) & starts_field  # a "0" that starts its field ...
+    zero[:-1] &= sep[1:]  # ... and ends it
+    if not zero.any():  # np.loadtxt parses every field and checks the widths
+        # a byte that is not ASCII becomes U+FFFD, which is no number
+        rows = chunk.decode("ascii", "replace").split("\n")[:-1]
+        lines, index, shape = len(rows), np.s_[:len(rows) * width], (len(rows), width)
+    else:
+        starts = np.flatnonzero(starts_field ^ zero)
+        drop = zero.copy()
+        drop[1:] |= zero[:-1]  # each "0" with its separator
+        text = text[~drop]
+        # where each kept field starts among the kept bytes; the bytes before
+        # it in the chunk are those and two for each "0" field
+        kept_at = np.concatenate(([0], np.flatnonzero((text == 9) | (text == 10)) + 1))
+        index = np.arange(starts.size) + (starts - kept_at[:-1]) // 2
+        # and so are the bytes up to each newline, where each line must bring
+        # the count of fields to a multiple of width
+        ends = np.flatnonzero(newline)
+        before = np.searchsorted(starts, ends)
+        through = before + (ends + 1 - kept_at[before]) // 2
+        if not np.array_equal(through, np.arange(1, ends.size + 1) * width):
+            return None
+        if not index.size:
+            return ends.size, index, np.empty(0)
+        rows = [text.tobytes().replace(b"\n", b"\t")[:-1].decode("ascii", "replace")]
+        lines, shape = ends.size, (1, index.size)
+    try:
+        values = np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (lines, index, values.ravel()) if values.shape == shape else None
+
+
+def _read_mostly_zero(path: Path, rows: int, width: int) -> np.ndarray | None:
+    """A float table as :func:`_read_table` reads it, parsing only the fields
+    that are not exactly ``0``: each chunk of lines hands those to
+    ``np.loadtxt`` at once and the rest stay zero.  None when the file cannot
+    be opened or its layout is not ``rows`` lines of ``width`` fields."""
+    try:
+        f = open(path, "rb")
+    except OSError:
+        return None
+    with f:
+        # a field takes at least two bytes: a shorter file cannot hold the
+        # table, and the zeroed table is at most four times the file's size
+        if width < 1 or 2 * rows * width > os.fstat(f.fileno()).st_size:
+            return None
+        table = np.zeros((rows, width))
+        flat = table.reshape(-1)
+        done = 0
+        for chunk in _line_chunks(f):
+            fields = _nonzero_fields(chunk, width)
+            if fields is None or done + fields[0] > rows:
+                return None
+            lines, index, values = fields
+            flat[done * width:][index] = values
+            done += lines
+    return table if done == rows else None
+
+
 def load_canonical(directory) -> Graph:
     """Read a graph written by :func:`save_canonical`, checking the files
     against the manifest."""
@@ -229,10 +327,12 @@ def load_canonical(directory) -> Graph:
     edges = _read_table(
         directory / EDGES_NAME, np.int64, n_edges, 2, ParseError, "two endpoints per line"
     )
-    features = _read_table(
-        directory / FEATURES_NAME, np.float64, n_nodes, n_features, IntegrityError,
-        f"{n_features} columns, as the manifest says",
-    )
+    features = _read_mostly_zero(directory / FEATURES_NAME, n_nodes, n_features)
+    if features is None:  # np.loadtxt reads it whole, and says what is wrong
+        features = _read_table(
+            directory / FEATURES_NAME, np.float64, n_nodes, n_features, IntegrityError,
+            f"{n_features} columns, as the manifest says",
+        )
     labels = _read_table(
         directory / LABELS_NAME, np.int64, n_nodes, 1, ParseError, "one label per line"
     )[:, 0]

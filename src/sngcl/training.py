@@ -374,25 +374,20 @@ def _epoch_backward(
     online: Mlp,
     predictor: Mlp,
     plan: EpochPlan,
-    consumers: Sequence[Consumer] | None = None,
-    scratch: np.ndarray | None = None,
-) -> tuple[Mlp, Mlp] | None:
+    consumers: Sequence[Consumer],
+    scratch: np.ndarray | None,
+) -> None:
     """Backprop of the epoch's loss through the predictor, then the online
     encoder, over the arrays of ``fwd`` and ``out``.
 
     Each layer's gradients go, as they form, to the matching one of
     ``consumers`` (the encoder's, the predictor's; see
     :func:`~sngcl.nn.mlp_backward`, which also says what ``scratch`` is).
-    When None, they are collected into two fresh Mlps, which are returned.
 
     The neighbor positive is ``S @ anchor``, so its gradient reaches the
     anchor as ``S.T @ grad``, formed in ``out.grad_positive_neighbor``; the
     structural positive belongs to the frozen target and receives nothing.
     """
-    grads = None
-    if consumers is None:
-        grads = (online.zeros_like(), predictor.zeros_like())
-        consumers = [_collector(g) for g in grads]
     enc_consume, pred_consume = consumers
     d_anchor = out.grad_positive_neighbor
     sparse_chain([plan.neighbor_op.T], d_anchor, d_anchor)
@@ -401,12 +396,6 @@ def _epoch_backward(
     mlp_backward(
         online, fwd.cache_enc, dz1, enc_consume, need_input_grad=False, scratch=scratch
     )
-    return grads
-
-
-def _collector(grads: Mlp) -> Consumer:
-    """A consumer that copies each gradient into ``grads``."""
-    return lambda start, grad: np.copyto(grads.buffer[start:start + grad.size], grad)
 
 
 def _adam_consumer(state: AdamState, net: Mlp, first: Mlp, second: Mlp, lr: float) -> Consumer:

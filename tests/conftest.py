@@ -16,6 +16,7 @@ import pytest
 from sngcl.data import SbmConfig, generate_sbm
 from sngcl.graph import RANDOM_WALK, build_graph
 from sngcl.nn import mlp_backward
+from sngcl.training import _epoch_backward
 
 
 def data_dir() -> Path:
@@ -116,16 +117,29 @@ def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def collected_backward(mlp, cache, d_out, need_input_grad=True, scratch=None):
-    """``mlp_backward`` with every gradient it hands over copied into a
-    fresh Mlp: (gradients, input gradient or None)."""
-    grads = mlp.zeros_like()
+def _collector(grads):
+    """A consumer that copies each gradient it is handed into ``grads``."""
 
     def collect(start, grad):
         grads.buffer[start:start + grad.size] = grad
 
-    dx = mlp_backward(mlp, cache, d_out, collect, need_input_grad, scratch)
+    return collect
+
+
+def collected_backward(mlp, cache, d_out, need_input_grad=True, scratch=None):
+    """``mlp_backward`` with every gradient it hands over copied into a
+    fresh Mlp: (gradients, input gradient or None)."""
+    grads = mlp.zeros_like()
+    dx = mlp_backward(mlp, cache, d_out, _collector(grads), need_input_grad, scratch)
     return grads, dx
+
+
+def collected_epoch_backward(fwd, out, online, predictor, plan):
+    """``_epoch_backward`` with every gradient it hands over copied into two
+    fresh Mlps: (encoder gradients, predictor gradients)."""
+    grads = (online.zeros_like(), predictor.zeros_like())
+    _epoch_backward(fwd, out, online, predictor, plan, [_collector(g) for g in grads], None)
+    return grads
 
 
 @pytest.fixture()

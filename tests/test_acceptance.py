@@ -13,7 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dense_smooth_oracle, numeric_grad, planetoid_paths, random_graph
+from conftest import (
+    collected_epoch_backward,
+    dense_smooth_oracle,
+    numeric_grad,
+    planetoid_paths,
+    random_graph,
+)
 
 from sngcl.cli import run_command
 from sngcl.data import SbmConfig, generate_sbm, load_planetoid
@@ -34,7 +40,6 @@ from sngcl.training import (
     EpochPlan,
     TrainConfig,
     VIEW_MODES,
-    _epoch_backward,
     _epoch_forward,
     encode,
     train,
@@ -161,7 +166,7 @@ def test_criterion_02_end_to_end_gradients_match_finite_differences():
 
         fwd = _epoch_forward(online, predictor, target, x_on, x_tg, plan)
         out = total_loss(fwd.batch, config.loss)
-        enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan)
+        enc_grads, pred_grads = collected_epoch_backward(fwd, out, online, predictor, plan)
 
         # negatives are constants by design: freeze a base-point copy of their rows so
         # finite differences evaluate the same map the backward pass uses

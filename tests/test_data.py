@@ -255,6 +255,91 @@ def test_canonical_malformed_files_keep_their_error_and_name_the_file(
     assert message is None or message in str(info.value)
 
 
+def cora_like_features(seed: int, n: int = 30, width: int = 200) -> np.ndarray:
+    """Bag-of-words-like rows: 2% of the entries hold 17-digit values, the
+    rest and every seventh row, the last included, are zero."""
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random((n, width)) < 0.02, rng.random((n, width)), 0.0)
+    x[::7] = 0.0
+    x[-1] = 0.0
+    return x
+
+
+def loadtxt_features(path) -> np.ndarray:
+    return np.loadtxt(path, delimiter="\t", ndmin=2)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 7, 300, data.TABLE_CHUNK_BYTES])
+def test_mostly_zero_features_load_bit_equal_to_loadtxt(tmp_path, monkeypatch, chunk_bytes):
+    features = cora_like_features(0)
+    features[1, :5] = [-0.0, 5e-324, 1 / 3, -np.pi, 1e300]
+    features[2, -1] = -0.0
+    save_canonical(build_graph([(0, 1)], features), tmp_path / "ds")
+    path = tmp_path / "ds" / "features.tsv"
+    text = path.read_bytes()
+    assert text.endswith(b"\t0\n")  # an all-zero last row ...
+    path.write_bytes(text[:-1])  # ... with no final newline
+    monkeypatch.setattr(data, "TABLE_CHUNK_BYTES", chunk_bytes)
+    loaded = load_canonical(tmp_path / "ds")
+    assert loaded.features.tobytes() == loadtxt_features(path).tobytes()
+    assert loaded.features.tobytes() == features.tobytes()
+
+
+def test_loadtxt_is_given_only_the_fields_other_than_zero(tmp_path, monkeypatch):
+    save_canonical(build_graph([(0, 1)], cora_like_features(1)), tmp_path / "ds")
+    path = tmp_path / "ds" / "features.tsv"
+    fields = path.read_text().split()
+    nonzero = [f for f in fields if f != "0"]
+    assert 0 < len(nonzero) < 0.03 * len(fields)
+    given = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        given.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    want = load_canonical(tmp_path / "ds").features
+    lines = [source for source in given if isinstance(source, list)]
+    assert path not in given  # the features file is never handed over whole
+    assert [f for chunk in lines for f in "\t".join(chunk).split("\t")] == nonzero
+    assert want.tobytes() == loadtxt_features(path).tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda rows: [rows[0], rows[1].replace("\t0\t", "\tabc\t", 1), *rows[2:]],
+         ParseError, "abc"),
+        (lambda rows: [rows[0], rows[1].replace("\t0\t", "\t", 1), *rows[2:]],
+         IntegrityError, "rows of unequal width"),
+        (lambda rows: [rows[0], rows[1].replace("\t0\t", "\t\t", 1), *rows[2:]],
+         ParseError, "could not convert string ''"),
+        (lambda rows: rows[:-1], IntegrityError, "29 rows, manifest says 30"),
+        (lambda rows: [*rows, rows[1]], IntegrityError, "31 rows, manifest says 30"),
+        (lambda rows: [*rows[:3], "\n", *rows[3:]], None, None),
+        (lambda rows: [r.replace("\n", "\r\n") for r in rows], None, None),
+    ],
+    ids=[
+        "non-numeric-field", "ragged-row", "empty-field", "too-few-rows", "too-many-rows",
+        "blank-line", "crlf",
+    ],
+)
+def test_malformed_mostly_zero_features_keep_their_error_and_name_the_file(
+    tmp_path, edit, error, message
+):
+    save_canonical(build_graph([(0, 1)], cora_like_features(2)), tmp_path / "ds")
+    path = tmp_path / "ds" / "features.tsv"
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))), newline="")
+    if error is None:  # np.loadtxt reads it, and so does load_canonical
+        loaded = load_canonical(tmp_path / "ds")
+        assert loaded.features.tobytes() == loadtxt_features(path).tobytes()
+        return
+    with pytest.raises(error, match="features.tsv") as info:
+        load_canonical(tmp_path / "ds")
+    assert message in str(info.value)
+
+
 def test_canonical_features_are_written_with_seventeen_significant_digits(tmp_path):
     features = np.array([[np.pi, -0.0, 1e-300], [5e-324, -3 * np.pi, 1e20 * np.pi]])
     save_canonical(build_graph([(0, 1)], features), tmp_path / "ds")

@@ -23,6 +23,7 @@ from sngcl.nn import (
     scratch_size,
 )
 from sngcl.rng import stream_rng
+from sngcl.training import DEFAULT_EMBED, DEFAULT_HIDDEN
 
 
 def test_init_mlp_glorot_bounds_and_zero_biases():
@@ -41,6 +42,25 @@ def test_init_mlp_is_deterministic_per_stream():
     c = init_mlp([5, 3], stream_rng(43, "init"))
     np.testing.assert_array_equal(a.weights[0], b.weights[0])
     assert np.any(a.weights[0] != c.weights[0])
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        [7, 3, 5, 1, 9],
+        [1433, DEFAULT_HIDDEN, DEFAULT_EMBED],  # the encoder on Cora's features
+        [DEFAULT_EMBED, DEFAULT_HIDDEN, DEFAULT_EMBED],  # the predictor
+    ],
+    ids=["odd-widths", "default-encoder", "default-predictor"],
+)
+def test_init_mlp_draws_what_rng_uniform_draws(dims):
+    drawn, rng = stream_rng(3, "init"), stream_rng(3, "init")
+    mlp = init_mlp(dims, drawn)
+    for w, b, d_in, d_out in zip(mlp.weights, mlp.biases, dims[:-1], dims[1:]):
+        bound = np.sqrt(6.0 / (d_in + d_out))
+        assert w.tobytes() == rng.uniform(-bound, bound, (d_in, d_out)).tobytes()
+        assert b.tobytes() == np.zeros(d_out).tobytes()
+    assert drawn.random() == rng.random()  # the stream is left where it was
 
 
 def test_init_mlp_rejects_bad_dims():

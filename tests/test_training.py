@@ -9,7 +9,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import numeric_grad, rel_err, rewrite_checkpoint_metadata, sparse_feature_graph
+from conftest import (
+    collected_epoch_backward,
+    numeric_grad,
+    rel_err,
+    rewrite_checkpoint_metadata,
+    sparse_feature_graph,
+)
 from test_nn import _reference_adam_step
 
 import sngcl.checkpoint as checkpoint
@@ -35,7 +41,6 @@ from sngcl.training import (
     VIEW_BOTH,
     VIEW_GLOBAL_ONLY,
     VIEW_LOCAL_ONLY,
-    _epoch_backward,
     _epoch_forward,
     encode,
     resolve_view_inputs,
@@ -359,7 +364,7 @@ def test_factorised_epoch_matches_the_dense_epoch(view_mode):
     for inputs in (dense, operators):
         fwd = _epoch_forward(*nets, *inputs, plan)
         out = total_loss(fwd.batch, config.loss)
-        enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan)
+        enc_grads, pred_grads = collected_epoch_backward(fwd, out, online, predictor, plan)
         results.append((fwd, out, enc_grads.params() + pred_grads.params()))
     (fwd_d, out_d, grads_d), (fwd_o, out_o, grads_o) = results
     assert isinstance(operators[0], SmoothedOperator)
@@ -376,7 +381,7 @@ def test_factorised_epoch_gradients_match_finite_differences(view_mode):
     online, predictor, _ = nets
     fwd = _epoch_forward(*nets, *operators, plan)
     out = total_loss(fwd.batch, config.loss)
-    enc_grads, pred_grads = _epoch_backward(fwd, out, online, predictor, plan)
+    enc_grads, pred_grads = collected_epoch_backward(fwd, out, online, predictor, plan)
     frozen = fwd.batch.anchor.copy()
 
     def loss_value():
@@ -471,7 +476,7 @@ def test_training_keeps_no_gradient_buffer():
 
 def _reference_train(graph, config):
     """``train``'s loop with the gradients taken in full from
-    ``_epoch_backward`` and then the allocating Adam formula over each
+    ``collected_epoch_backward`` and then the allocating Adam formula over each
     network's buffer: (history, online, predictor, target, moments)."""
     config = config.resolved(graph.n_features)
     online_input, target_input = resolve_view_inputs(graph, config.t, config.view_mode)
@@ -492,7 +497,7 @@ def _reference_train(graph, config):
         )
         fwd = _epoch_forward(online, predictor, target, online_input, target_input, plan)
         out = total_loss(fwd.batch, config.loss)
-        grads = _epoch_backward(fwd, out, online, predictor, plan)
+        grads = collected_epoch_backward(fwd, out, online, predictor, plan)
         _reference_adam_step(
             [net.buffer for net in nets], [g.buffer for g in grads],
             moments[:2], moments[2:], epoch, config.lr,
