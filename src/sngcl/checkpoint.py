@@ -182,9 +182,9 @@ def load_checkpoint(path) -> TrainedModel:
             )
         model = TrainedModel(
             model=ModelState(
-                online_encoder=Mlp.unset(config.encoder_dims),
+                online_encoder=Mlp(config.encoder_dims),
                 predictor=None,
-                target_encoder=Mlp.unset(config.encoder_dims),
+                target_encoder=Mlp(config.encoder_dims),
             ),
             config=config,
             history=np.empty((config.epochs, 5)),

@@ -376,8 +376,10 @@ class SbmConfig:
                 f"feature_dim={self.feature_dim} cannot hold {self.n_blocks} "
                 "orthogonal block means"
             )
-        if self.noise_std < 0:
-            raise InputError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not np.isfinite(self.feature_shift):
+            raise InputError(f"feature_shift must be finite, got {self.feature_shift}")
+        if not 0 <= self.noise_std < np.inf:  # NaN fails too
+            raise InputError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 

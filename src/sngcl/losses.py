@@ -150,13 +150,6 @@ class LossOutput:
     work: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
-def loss_workspace(n: int, d: int) -> LossOutput:
-    """An output holding no loss yet, only arrays for an n x d batch's
-    terms, to give :func:`total_loss` as ``reuse``."""
-    grad_anchor, grad_neighbor, *work = (np.empty((n, d)) for _ in range(4))
-    return LossOutput(np.nan, np.nan, np.nan, np.nan, grad_anchor, grad_neighbor, tuple(work))
-
-
 def _row_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
@@ -176,17 +169,18 @@ def total_loss(
     letting the triplet terms expand distances indefinitely; its weight is
     fixed at 1.
 
-    Given ``reuse``, the output of an earlier call on a batch of the same
-    shape or a :func:`loss_workspace`, every term is formed in its four
-    arrays, which the returned output holds again.
+    Every term is formed in four n x d arrays, which the returned output
+    holds: fresh ones when ``reuse`` is None, else those of ``reuse``, the
+    output of an earlier call on a batch of the same shape.
     """
     batch.validate()
     anchor = batch.anchor
     n, k = anchor.shape[0], len(batch.permutations)
     if reuse is None:
-        reuse = loss_workspace(*anchor.shape)
-    diff_n, diff = reuse.grad_positive_neighbor, reuse.grad_anchor
-    diff_s, neg_term = reuse.work
+        diff, diff_n, diff_s, neg_term = (np.empty(anchor.shape) for _ in range(4))
+    else:
+        diff, diff_n = reuse.grad_anchor, reuse.grad_positive_neighbor
+        diff_s, neg_term = reuse.work
     np.subtract(anchor, batch.positive_struct, out=diff_s)
     np.subtract(anchor, batch.positive_neighbor, out=diff_n)
     sq_s, sq_n = _row_sq(diff_s), _row_sq(diff_n)
@@ -228,5 +222,5 @@ def total_loss(
         l_upper=l_u,
         grad_anchor=grad_anchor,
         grad_positive_neighbor=np.negative(g_n, out=g_n),
-        work=reuse.work,
+        work=(diff_s, neg_term),
     )

@@ -5,9 +5,10 @@ of linear layers with ReLU after every layer except the last.  All math is
 float64 numpy; gradients are exact reverse-mode derivatives of the forward
 map and are verified against finite differences in the test suite.
 
-Each network's parameters live in one contiguous buffer, and so do Adam's
-two moments.  No gradient buffer is kept: backprop hands each layer's
-gradients to a consumer as soon as they form, and training's consumer is
+A network is built from its layer widths alone, its parameters views of
+one contiguous buffer, and Adam's two moments are networks of the same
+widths.  No gradient buffer is kept: backprop hands each layer's gradients
+to a consumer as soon as they form, and training's consumer is
 :func:`adam_step`, which updates that slice of the buffer in place.  Adam and
 the EMA walk their arrays in blocks of ``BLOCK`` elements, so that a step
 makes a few numpy calls per block and its work arrays stay in cache.
@@ -15,7 +16,6 @@ makes a few numpy calls per block and its work arrays stay in cache.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
@@ -25,56 +25,39 @@ import numpy as np
 from .errors import InputError
 
 
-@dataclass
 class Mlp:
-    """Layer parameters: ``weights[l]`` is d_{l-1} x d_l, ``biases[l]`` is d_l.
+    """A network of the layer widths ``dims``: ``weights[l]`` is
+    d_l x d_{l+1} and ``biases[l]`` is d_{l+1}.
 
-    The constructor copies them into one contiguous buffer, ``buffer``, in
-    the order of :meth:`params`, and keeps views of it; Adam's moments are
-    Mlps too, so a slice of the buffer has its moments at the same offsets.
+    Its parameters are views of one contiguous buffer, ``buffer``, in the
+    order of :meth:`params`, left uninitialised for :func:`init_mlp` or a
+    reader to fill in place.  Adam's moments are Mlps too, so a slice of the
+    buffer has its moments at the same offsets.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    buffer: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        params = self.params()
-        self._lay_out([p.shape for p in params])
-        for view, p in zip(self.params(), params):
-            view[...] = p
-
-    def _lay_out(self, shapes: list[tuple[int, ...]]) -> None:
-        """Make the parameters views of a fresh buffer, in ``params`` order."""
-        self.buffer = np.empty(sum(math.prod(shape) for shape in shapes))
-        views, start = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(self.buffer[start:start + size].reshape(shape))
-            start += size
-        self.weights, self.biases = views[0::2], views[1::2]
-
-    @classmethod
-    def unset(cls, dims: list[int]) -> "Mlp":
-        """An Mlp of the given layer widths whose parameters are left
-        uninitialised, for :func:`init_mlp` or a reader to fill in place."""
-        mlp = cls.__new__(cls)
-        mlp._lay_out([
-            shape for d_in, d_out in zip(dims[:-1], dims[1:])
-            for shape in ((d_in, d_out), (d_out,))
-        ])
-        return mlp
+    def __init__(self, dims: list[int]) -> None:
+        if len(dims) < 2 or any(d <= 0 for d in dims):
+            raise InputError(f"dims must be >= 2 positive layer widths, got {dims}")
+        self.dims = list(dims)
+        self.buffer = np.empty(sum((d_in + 1) * d_out for d_in, d_out in zip(dims, dims[1:])))
+        self.weights, self.biases, start = [], [], 0
+        for d_in, d_out in zip(dims, dims[1:]):
+            self.weights.append(self.buffer[start:start + d_in * d_out].reshape(d_in, d_out))
+            start += d_in * d_out
+            self.biases.append(self.buffer[start:start + d_out])
+            start += d_out
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "Mlp":
-        return Mlp(self.weights, self.biases)
+        mlp = Mlp(self.dims)
+        mlp.buffer[...] = self.buffer
+        return mlp
 
     def zeros_like(self) -> "Mlp":
-        mlp = Mlp.__new__(Mlp)
-        mlp._lay_out([p.shape for p in self.params()])
+        mlp = Mlp(self.dims)
         # filled, not np.zeros: calloc'd pages that the first Adam step had
         # to fault in made a 1-epoch sbm-200 train about 4 ms slower
         mlp.buffer.fill(0.0)
@@ -89,20 +72,13 @@ class Mlp:
         return flat
 
 
-def _check_shapes(a: Mlp, b: Mlp, what: str) -> None:
-    if [p.shape for p in a.params()] != [p.shape for p in b.params()]:
-        raise InputError(f"{what} layer shapes disagree")
-
-
 def init_mlp(dims: list[int], rng: np.random.Generator) -> Mlp:
     """Glorot-uniform weights, zero biases.
 
     Weights are drawn uniform in ``[-sqrt(6/(d_in+d_out)), +sqrt(...)]``;
     the same generator state reproduces the same parameters bitwise.
     """
-    if len(dims) < 2 or any(d <= 0 for d in dims):
-        raise InputError(f"dims must be >= 2 positive layer widths, got {dims}")
-    mlp = Mlp.unset(dims)
+    mlp = Mlp(dims)
     for w, b in zip(mlp.weights, mlp.biases):
         high = np.sqrt(6.0 / sum(w.shape))
         low = -high
@@ -320,7 +296,8 @@ def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:
     """
     if not 0.0 <= m <= 1.0:
         raise InputError(f"momentum must lie in [0, 1], got {m}")
-    _check_shapes(target, online, "target / online")
+    if target.dims != online.dims:
+        raise InputError("target / online layer shapes disagree")
     scratch = np.empty(min(BLOCK, target.buffer.size))
     for tp, op in _blocks(target.buffer, online.buffer):
         tp *= m

@@ -46,7 +46,6 @@ from .losses import (
     EmbeddingBatch,
     LossConfig,
     LossOutput,
-    loss_workspace,
     neighbor_operator,
     sample_neighbor_indices,
     total_loss,
@@ -166,14 +165,12 @@ class TrainConfig:
 
 
 def int_list(text: str) -> list[int]:
-    """Parse comma-separated integers such as ``16,512,256``; at least one."""
+    """Parse comma-separated integers such as ``16,512,256``; an empty field
+    is an error."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",")]
     except ValueError:
-        values = []
-    if not values:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
-    return values
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 # field annotation -> (parse text, format value).  The formats are those of
@@ -447,10 +444,9 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
     )
 
     history = np.empty((config.epochs, 5))
-    # each epoch writes its n-row arrays into the previous epoch's, and the
-    # loss always into arrays of its own
-    fwd = None
-    out = loss_workspace(graph.n_nodes, config.encoder_dims[-1])
+    # epoch 1 makes its n-row arrays, the loss's apart from the forward pass's,
+    # and each later epoch writes into the previous epoch's
+    fwd = out = None
     for epoch in range(1, config.epochs + 1):
         idx = sample_neighbor_indices(graph, loss_cfg.n_neighbors, rng_neighbor)
         plan = EpochPlan(

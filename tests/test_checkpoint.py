@@ -26,7 +26,7 @@ def _fixed_model() -> TrainedModel:
     ).resolved(3)
 
     def encoder(offset: int) -> Mlp:
-        net = Mlp.unset(config.encoder_dims)
+        net = Mlp(config.encoder_dims)
         net.buffer[:] = (np.arange(net.buffer.size) - offset) / 8
         return net
 

@@ -139,6 +139,9 @@ def test_usage_errors_exit_2(capsys):
     assert run_command(["train", "--data", "d", "--out", "o", "--encoder-dims", ""]) == 2
     assert run_command(["train", "--data", "d", "--out", "o", "--predictor-dims", ","]) == 2
     assert run_command(["ablate", "--data", "d", "--train-seeds", ""]) == 2
+    # nor is an empty field a missing layer
+    assert run_command(["train", "--data", "d", "--out", "o", "--encoder-dims", "16,,8"]) == 2
+    assert run_command(["train", "--data", "d", "--out", "o", "--encoder-dims", "16,8,"]) == 2
 
 
 def test_help_exits_0_and_shows_defaults(capsys):
@@ -356,6 +359,16 @@ def test_a_negative_seed_exits_1_without_a_traceback(sbm_dir, tmp_path, argv):
     assert not (tmp_path / "neg").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise-std", "nan", "noise_std must be finite and >= 0, got nan"),
+    ("--feature-shift", "inf", "feature_shift must be finite, got inf"),
+], ids=["noise-std", "feature-shift"])
+def test_a_non_finite_sbm_setting_exits_1_before_drawing(tmp_path, capsys, flag, value, message):
+    assert run_command(["gen-sbm", flag, value, "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "embed"])
 def test_a_write_into_a_missing_directory_names_the_path_given(sbm_dir, tmp_path, command):
     # the temporary file's name holds the process id; the error names the --out path
@@ -536,15 +549,17 @@ def test_retired_anchor_and_normalization_settings_are_rejected(tmp_path, sbm_di
 
 
 def test_an_empty_dims_list_in_the_config_file_is_rejected(tmp_path, sbm_dir, capsys):
-    # an empty list must not stand for the default widths
+    # an empty list must not stand for the default widths, nor an empty field
+    # be dropped
     cfg = tmp_path / "empty.cfg"
-    cfg.write_text("epochs=1\nencoder_dims=\n")
-    assert run_command([
-        "train", "--data", str(sbm_dir), "--config", str(cfg), "--out", str(tmp_path / "m"),
-    ]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "encoder_dims: expected comma-separated integers" in err
-    assert not (tmp_path / "m").exists()
+    for dims in ("", "16,,8", "16,8,"):
+        cfg.write_text(f"epochs=1\nencoder_dims={dims}\n")
+        assert run_command([
+            "train", "--data", str(sbm_dir), "--config", str(cfg), "--out", str(tmp_path / "m"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "encoder_dims: expected comma-separated integers" in err
+        assert not (tmp_path / "m").exists()
 
 
 def test_read_config_file_parses_and_strips(tmp_path):

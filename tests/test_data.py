@@ -194,6 +194,9 @@ def test_canonical_manifest_parse_errors(tmp_path):
     (tmp_path / "ds" / "manifest.txt").write_text("n_nodes=two\n")
     with pytest.raises(ParseError, match="not an integer"):
         load_canonical(tmp_path / "ds")
+    (tmp_path / "ds" / "manifest.txt").write_text("n_features=2\nn_classes=0\nn_edges=1\n")
+    with pytest.raises(ParseError, match="missing n_nodes"):
+        load_canonical(tmp_path / "ds")
 
 
 @pytest.mark.parametrize(
@@ -454,6 +457,12 @@ def test_sbm_config_validation():
         SbmConfig(nodes_per_block=10, n_blocks=4, p_in=0.1, p_out=0.01, feature_dim=3)
     with pytest.raises(InputError):
         SbmConfig(nodes_per_block=10, n_blocks=2, p_in=0.1, p_out=0.01, noise_std=-1)
+    # checked before any drawing, NaN included: a non-finite feature would
+    # fail only once the whole graph is drawn, naming no setting
+    for name, value in (("noise_std", np.nan), ("noise_std", np.inf),
+                        ("feature_shift", np.nan), ("feature_shift", -np.inf)):
+        with pytest.raises(InputError, match=f"{name} must be finite"):
+            SbmConfig(nodes_per_block=10, n_blocks=2, p_in=0.1, p_out=0.01, **{name: value})
 
 
 def test_export_embeddings_round_trips_exactly(tmp_path):

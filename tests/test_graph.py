@@ -178,6 +178,29 @@ def test_validate_rejects_asymmetric_or_self_looped_adjacency():
         h.validate()
 
 
+@pytest.mark.parametrize("graph, message", [
+    (Graph(sp.csr_matrix((2, 3)), np.eye(2)), "adjacency must be square"),
+    (Graph(sp.csr_matrix((3, 3)), np.eye(2)), r"feature rows \(2\) != n_nodes \(3\)"),
+    (Graph(sp.csr_matrix((2, 2)), np.eye(2), labels=np.zeros(2, dtype=np.int64)),
+     "labels present but n_classes missing"),
+], ids=["non-square", "feature-rows", "labels-without-classes"])
+def test_validate_rejects_fields_that_disagree(graph, message):
+    with pytest.raises(InputError, match=message):
+        graph.validate()
+
+
+def test_build_graph_rejects_1d_features():
+    with pytest.raises(InputError, match="features must be a 2-d matrix"):
+        build_graph([(0, 1)], np.ones(3))
+
+
+def test_an_operator_input_has_no_input_gradient(path_graph):
+    layer = init_mlp([path_graph.n_features, 2], np.random.default_rng(0))
+    y, cache = mlp_forward(layer, smoothed_operator(path_graph, 1, SYMMETRIC))
+    with pytest.raises(InputError, match="an operator input has no input gradient"):
+        mlp_backward(layer, cache, np.ones_like(y), lambda start, grad: None)
+
+
 def test_build_graph_rejects_non_finite_features():
     # A NaN feature used to train to a loss of 0.0: every hinge bracket
     # compares False against zero.

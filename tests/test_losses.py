@@ -277,6 +277,9 @@ def test_total_loss_validates_batch_shapes():
     )
     with pytest.raises(InputError, match="positive_neighbor"):
         total_loss(batch, LossConfig(k=1))
+    batch = EmbeddingBatch(anchor, anchor, anchor, anchor, permutations=[])
+    with pytest.raises(InputError, match="need at least one negative"):
+        total_loss(batch, LossConfig(k=1))
 
 
 @pytest.mark.parametrize("perm", [
@@ -296,13 +299,15 @@ def test_total_loss_rejects_a_permutation_outside_the_negative_rows(perm):
         total_loss(batch, LossConfig(k=2))
 
 
-def test_loss_config_validation():
+def test_loss_config_validation(sbm_tiny):
     with pytest.raises(InputError):
         LossConfig(alpha=-0.1)
     with pytest.raises(InputError):
         LossConfig(k=0)
     with pytest.raises(InputError):
         LossConfig(n_neighbors=0)
+    with pytest.raises(InputError, match="n_neighbors must be >= 1, got 0"):
+        sample_neighbor_indices(sbm_tiny, 0, stream_rng(0, "neighbor"))
     with pytest.raises(InputError):
         LossConfig(omega1=-1.0)
 

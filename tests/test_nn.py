@@ -69,10 +69,21 @@ def test_init_mlp_rejects_bad_dims():
         init_mlp([5], rng)
     with pytest.raises(InputError):
         init_mlp([5, 0, 3], rng)
+    # the constructor itself checks the widths of every network
+    with pytest.raises(InputError, match="dims must be >= 2 positive layer widths"):
+        Mlp([4, -1])
+
+
+def _mlp(weights, biases):
+    """An Mlp holding copies of the given layer parameters."""
+    mlp = Mlp([w.shape[0] for w in weights] + [weights[-1].shape[1]])
+    for w, b, w_view, b_view in zip(weights, biases, mlp.weights, mlp.biases):
+        w_view[...], b_view[...] = w, b
+    return mlp
 
 
 def test_forward_applies_relu_on_hidden_layers_only():
-    mlp = Mlp(
+    mlp = _mlp(
         weights=[np.array([[1.0], [1.0]]), np.array([[1.0]])],
         biases=[np.array([-10.0]), np.array([-3.0])],
     )
@@ -208,7 +219,7 @@ def _moments(state, i=0):
 def test_adam_first_step_has_learning_rate_magnitude():
     # After one step m_hat = g and v_hat = g^2, so the update is
     # lr * g / (|g| + eps): the learning rate itself, up to eps.
-    p = Mlp([np.zeros((1, 1))], [np.zeros(1)])
+    p = _mlp([np.zeros((1, 1))], [np.zeros(1)])
     state = init_adam([p])
     state.step = 1
     adam_step(state, p.buffer, np.full(2, 10.0), *_moments(state), lr=0.1)
@@ -217,7 +228,7 @@ def test_adam_first_step_has_learning_rate_magnitude():
 
 def test_adam_matches_scalar_reference_over_many_steps():
     rng = np.random.default_rng(5)
-    p = Mlp([np.full((1, 1), 0.3)], [np.full(1, 0.3)])
+    p = _mlp([np.full((1, 1), 0.3)], [np.full(1, 0.3)])
     state = init_adam([p])
 
     # Plain transcription of the update rule, kept separate from the
@@ -235,7 +246,7 @@ def test_adam_matches_scalar_reference_over_many_steps():
 
 
 def test_adam_updates_in_place_and_checks_shapes():
-    p = Mlp([np.zeros((2, 2))], [np.zeros(2)])
+    p = _mlp([np.zeros((2, 2))], [np.zeros(2)])
     original = p.buffer
     state = init_adam([p])
     state.step = 1
@@ -266,7 +277,7 @@ def _scaled_like(net, rng):
     """Normal draws shaped like ``net``, each tensor scaled by 10^-6..10^2."""
     scaled = lambda arrays: [rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3)
                              for a in arrays]
-    return Mlp(scaled(net.weights), scaled(net.biases))
+    return _mlp(scaled(net.weights), scaled(net.biases))
 
 
 def test_adam_is_bitwise_equal_to_the_allocating_formula():
@@ -274,8 +285,8 @@ def test_adam_is_bitwise_equal_to_the_allocating_formula():
     # parameters as small as a step, so that a step's last bit reaches them
     small = lambda *shape: rng.standard_normal(shape) * 1e-3
     nets = [
-        Mlp([small(7, 5), small(5, 3)], [small(5), small(3)]),
-        Mlp([small(1, 1)], [small(1)]),
+        _mlp([small(7, 5), small(5, 3)], [small(5), small(3)]),
+        _mlp([small(1, 1)], [small(1)]),
     ]
     params = [p for net in nets for p in net.params()]
     ref = [p.copy() for p in params]

@@ -190,6 +190,15 @@ def test_dimension_mismatches_fail_before_training(sbm_tiny):
         train(sbm_tiny, TrainConfig(view_mode="sideways", epochs=1))
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("t", -1, "t must be >= 0, got -1"),
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+])
+def test_an_out_of_range_setting_fails_before_training(sbm_tiny, name, value, message):
+    with pytest.raises(InputError, match=message):
+        train(sbm_tiny, small_config(**{name: value}))
+
+
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-3])
 def test_learning_rate_must_be_finite_and_non_negative(sbm_tiny, lr):
     with pytest.raises(InputError, match="lr must be finite and >= 0"):
@@ -624,6 +633,8 @@ def test_checkpoint_metadata_errors_are_corruption():
         ("view_mode=both", "view_mode=bovh"),
         ("momentum=0.8", "momentum=8.8"),
         ("encoder_dims=16,512,256", "encoder_dims=16"),
+        ("encoder_dims=16,512,256", "encoder_dims=16,,256"),  # not 16,256
+        ("predictor_dims=256,512,256", "predictor_dims=256,512,256,"),
         ("predictor_dims=256,512,256", "predictor_dims=128,512,256"),
         ("lr=0.001", "lr=nan"),
         ("alpha=1.0", "alpha=nan"),
@@ -707,6 +718,19 @@ def test_checkpoint_rejects_truncation(tmp_path, sbm_tiny, keep):
     clipped.write_bytes(raw[:keep])
     with pytest.raises((CheckpointCorruptionError, CheckpointFormatError)):
         load_checkpoint(clipped)
+
+
+@pytest.mark.parametrize("into", [1, 7])
+def test_checkpoint_cut_inside_a_record_header_is_corrupt(tmp_path, sbm_tiny, into):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(train(sbm_tiny, small_config(epochs=1)), path)
+    raw = path.read_bytes()
+    # every tensor the config implies is whole; then a record follows, cut
+    # inside its header (the size check catches a cut before the last tensor)
+    _, start, _, _ = _records(raw)[0]
+    path.write_bytes(raw + raw[start:start + into])
+    with pytest.raises(CheckpointCorruptionError, match="partial record header"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_mid_tensor_truncation(tmp_path, sbm_tiny):
