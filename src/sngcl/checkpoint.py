@@ -47,8 +47,8 @@ _MAX_RANK = 8
 def _config_from_lines(text: str) -> TrainConfig:
     kv = dict(line.partition("=")[::2] for line in text.splitlines() if line)
     try:
-        config = config_from_values({h.name: h.parse(kv[h.name]) for h in HYPERPARAMETERS})
-        config.validate(config.encoder_dims[0])
+        values = {h.name: h.parse(kv[h.name]) for h in HYPERPARAMETERS}
+        config = config_from_values(values).resolved(values["encoder_dims"][0])
     except KeyError as exc:
         raise CheckpointCorruptionError(f"metadata missing key {exc}") from exc
     except ValueError as exc:  # InputError is a ValueError

@@ -307,6 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sngcl",
         description="Self-supervised node embeddings from smoothed graph views.",
     )
+    # the flags several subcommands take, each defined once, as a parent parser
+    data, checkpoint, embedding = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    data.add_argument("--data", required=True, metavar="DIR", help="canonical dataset directory")
+    checkpoint.add_argument(
+        "--checkpoint", required=True, metavar="PATH", help=f"a train run's {CHECKPOINT_NAME}",
+    )
+    embedding.add_argument(
+        "--embedding", choices=EMBED_MODES, default=EMBED_ONLINE_LOCAL,
+        help="which embedding matrix to use",
+    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser(
@@ -342,10 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser(
-        "train", parents=[_hyper_parser(HYPERPARAMETERS)], formatter_class=fmt,
+        "train", parents=[data, _hyper_parser(HYPERPARAMETERS)], formatter_class=fmt,
         help="train on a canonical dataset and write a run directory",
     )
-    p.add_argument("--data", required=True, metavar="DIR", help="canonical dataset directory")
     p.add_argument(
         "--out", required=True, metavar="DIR",
         help=f"run directory for {CHECKPOINT_NAME}, {HISTORY_NAME} and {RECORD_NAME}",
@@ -353,14 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
-        "eval", formatter_class=fmt,
+        "eval", parents=[data, checkpoint, embedding], formatter_class=fmt,
         help="probe a checkpoint's embeddings over stratified splits",
-    )
-    p.add_argument("--data", required=True, metavar="DIR")
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.add_argument(
-        "--embedding", choices=EMBED_MODES, default=EMBED_ONLINE_LOCAL,
-        help="which embedding matrix to evaluate",
     )
     _add_split_args(p)
     p.add_argument(
@@ -371,12 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
-        "embed", formatter_class=fmt,
+        "embed", parents=[data, checkpoint, embedding], formatter_class=fmt,
         help="export a checkpoint's embeddings as TSV",
     )
-    p.add_argument("--data", required=True, metavar="DIR")
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.add_argument("--embedding", choices=EMBED_MODES, default=EMBED_ONLINE_LOCAL)
     p.add_argument("--with-index", action="store_true", help="prefix each row with its node index")
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_embed)
@@ -384,16 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     # ablate trains every view mode on every --train-seeds seed
     ablated = [h for h in HYPERPARAMETERS if h.name not in ("seed", "view_mode")]
     p = sub.add_parser(
-        "ablate", parents=[_hyper_parser(ablated)], formatter_class=fmt,
+        "ablate", parents=[data, embedding, _hyper_parser(ablated)], formatter_class=fmt,
         help="compare view modes: train and probe each over several seeds",
     )
-    p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument(
         "--train-seeds", type=int_list, default=[0, 1, 2], metavar="S0,S1,...",
         help="one training run per seed per view mode",
     )
     _add_split_args(p)
-    p.add_argument("--embedding", choices=EMBED_MODES, default=EMBED_ONLINE_LOCAL)
     p.add_argument("--out", default=None, metavar="PATH", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_ablate)
 

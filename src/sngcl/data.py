@@ -164,7 +164,8 @@ def save_canonical(graph: Graph, directory) -> None:
 
 def read_key_values(path: Path) -> dict[str, str]:
     """The ``key=value`` lines of a manifest or a ``--config`` file, keys
-    and values stripped; blank lines and ``#`` comments are skipped."""
+    and values stripped; blank lines and ``#`` comments are skipped, and a
+    key given twice is an error."""
     if not path.is_file():
         raise ParseError(f"{path}: not found")
     kv = {}  # an undecodable byte becomes U+FFFD and fails as a key or a value would
@@ -175,7 +176,10 @@ def read_key_values(path: Path) -> dict[str, str]:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ParseError(f"{path}:{lineno}: expected key=value")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in kv:
+            raise ParseError(f"{path}:{lineno}: repeated key {key!r}")
+        kv[key] = value.strip()
     return kv
 
 
@@ -237,7 +241,7 @@ def _line_chunks(f):
         yield tail if tail.endswith(b"\n") else tail + b"\n"
 
 
-def _nonzero_fields(chunk: bytes, width: int) -> tuple[int, np.ndarray | slice, np.ndarray] | None:
+def _nonzero_fields(chunk: bytes, width: int) -> tuple[int, np.ndarray, np.ndarray] | None:
     """The fields other than ``0`` of a chunk of whole lines: ``(lines,
     index, values)``, where ``values`` fill ``index`` of the chunk's flat
     ``(lines, width)`` table.  None when the chunk is not lines of ``width``
@@ -255,47 +259,38 @@ def _nonzero_fields(chunk: bytes, width: int) -> tuple[int, np.ndarray | slice, 
         return None
     zero = (text == 48) & starts_field  # a "0" that starts its field ...
     zero[:-1] &= sep[1:]  # ... and ends it
-    if not zero.any():  # np.loadtxt parses every field and checks the widths
-        # a byte that is not ASCII becomes U+FFFD, which is no number
-        rows = chunk.decode("ascii", "replace").split("\n")[:-1]
-        lines, index, shape = len(rows), np.s_[:len(rows) * width], (len(rows), width)
-    else:
-        starts = np.flatnonzero(starts_field ^ zero)
-        drop = zero.copy()
-        drop[1:] |= zero[:-1]  # each "0" with its separator
-        text = text[~drop]
-        # where each kept field starts among the kept bytes; the bytes before
-        # it in the chunk are those and two for each "0" field
-        kept_at = np.concatenate(([0], np.flatnonzero((text == 9) | (text == 10)) + 1))
-        index = np.arange(starts.size) + (starts - kept_at[:-1]) // 2
-        # and so are the bytes up to each newline, where each line must bring
-        # the count of fields to a multiple of width
-        ends = np.flatnonzero(newline)
-        before = np.searchsorted(starts, ends)
-        through = before + (ends + 1 - kept_at[before]) // 2
-        if not np.array_equal(through, np.arange(1, ends.size + 1) * width):
-            return None
-        if not index.size:
-            return ends.size, index, np.empty(0)
-        rows = [text.tobytes().replace(b"\n", b"\t")[:-1].decode("ascii", "replace")]
-        lines, shape = ends.size, (1, index.size)
+    starts = np.flatnonzero(starts_field ^ zero)
+    drop = zero.copy()
+    drop[1:] |= zero[:-1]  # each "0" with its separator
+    text = text[~drop]
+    # where each kept field starts among the kept bytes; the bytes before
+    # it in the chunk are those and two for each "0" field
+    kept_at = np.concatenate(([0], np.flatnonzero((text == 9) | (text == 10)) + 1))
+    index = np.arange(starts.size) + (starts - kept_at[:-1]) // 2
+    # and so are the bytes up to each newline, where each line must bring
+    # the count of fields to a multiple of width
+    ends = np.flatnonzero(newline)
+    before = np.searchsorted(starts, ends)
+    through = before + (ends + 1 - kept_at[before]) // 2
+    if not np.array_equal(through, np.arange(1, ends.size + 1) * width):
+        return None
+    if not index.size:
+        return ends.size, index, np.empty(0)
+    # a byte that is not ASCII becomes U+FFFD, which is no number
+    row = text.tobytes().replace(b"\n", b"\t")[:-1].decode("ascii", "replace")
     try:
-        values = np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
+        values = np.loadtxt([row], delimiter="\t", comments=None, ndmin=2)
     except ValueError:
         return None
-    return (lines, index, values.ravel()) if values.shape == shape else None
+    return (ends.size, index, values.ravel()) if values.shape == (1, index.size) else None
 
 
 def _read_mostly_zero(path: Path, rows: int, width: int) -> np.ndarray | None:
     """A float table as :func:`_read_table` reads it, parsing only the fields
     that are not exactly ``0``: each chunk of lines hands those to
-    ``np.loadtxt`` at once and the rest stay zero.  None when the file cannot
-    be opened or its layout is not ``rows`` lines of ``width`` fields."""
-    try:
-        f = open(path, "rb")
-    except OSError:
-        return None
-    with f:
+    ``np.loadtxt`` at once and the rest stay zero.  None when its layout is
+    not ``rows`` lines of ``width`` fields."""
+    with open(path, "rb") as f:
         # a field takes at least two bytes: a shorter file cannot hold the
         # table, and the zeroed table is at most four times the file's size
         if width < 1 or 2 * rows * width > os.fstat(f.fileno()).st_size:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import InputError
 from .graph import check_labels
 from .rng import stream_rng
+from .training import EMBED_ONLINE_LOCAL, VIEW_MODES, encode, train
 
 
 @dataclass
@@ -271,7 +272,7 @@ def evaluate_embeddings(
 
 
 def run_ablation(
-    graph, base_config, train_seeds, spec: SplitSpec, embed_output: str | None = None,
+    graph, base_config, train_seeds, spec: SplitSpec, embed_output: str = EMBED_ONLINE_LOCAL,
 ) -> dict[str, EvalReport]:
     """Train and probe once per (view mode, seed) pair; one report per view
     mode, each with one row per training seed.
@@ -281,11 +282,8 @@ def run_ablation(
     identical splits.  Every seed's split is drawn before any training, so
     a split the labels cannot fill fails at once.
     """
-    from .training import EMBED_ONLINE_LOCAL, VIEW_MODES, encode, train
-
     if graph.labels is None:
         raise InputError("ablation needs a labeled graph")
-    embed_output = embed_output or EMBED_ONLINE_LOCAL
     train_seeds = list(train_seeds)
     if not train_seeds:
         raise InputError("need at least one training seed")

@@ -103,6 +103,12 @@ def check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise InputError(f"label {labels[bad[0]]} of node {bad[0]} lies outside [-1, {n_classes})")
 
 
+def _non_integral(values: np.ndarray) -> np.ndarray:
+    """Where an array holds a value that is not a whole number."""
+    values = values.astype(np.float64)
+    return ~np.isfinite(values) | (np.trunc(values) != values)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A view of ``a`` that cannot be written through."""
     view = a.view()
@@ -119,9 +125,10 @@ def build_graph(
     """Build a Graph from undirected edge pairs.
 
     Pairs are symmetrized, duplicates collapse to a single unit-weight edge,
-    and self-loop pairs are dropped.  Node ids must lie in ``[0, n)`` where
-    ``n`` is the feature row count.  The graph's arrays are read-only views,
-    not copies, of ``features`` and ``labels`` when their dtype fits.
+    and self-loop pairs are dropped.  Node ids must be integers in ``[0, n)``
+    where ``n`` is the feature row count, and labels integers.  The graph's
+    arrays are read-only views, not copies, of ``features`` and ``labels``
+    when their dtype fits.
     """
     features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
     if features.ndim != 2:
@@ -130,7 +137,12 @@ def build_graph(
 
     # list() of an ndarray would make one small array per row
     edges = edge_list if isinstance(edge_list, np.ndarray) else list(edge_list)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges).reshape(-1, 2)
+    bad = np.flatnonzero(_non_integral(edges).any(axis=1))
+    if bad.size:
+        a, b = edges[bad[0]]
+        raise InputError(f"edge ({a}, {b}) has an endpoint that is not an integer")
+    edges = edges.astype(np.int64, copy=False)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         bad = edges[(edges < 0).any(axis=1) | (edges >= n).any(axis=1)][0]
         raise InputError(f"edge ({bad[0]}, {bad[1]}) references a node outside [0, {n})")
@@ -146,7 +158,11 @@ def build_graph(
     adj.data, adj.indices, adj.indptr = map(_read_only, (adj.data, adj.indices, adj.indptr))
 
     if labels is not None:
-        labels = _read_only(np.asarray(labels, dtype=np.int64))
+        labels = np.asarray(labels)
+        bad = np.flatnonzero(_non_integral(labels))
+        if bad.size:
+            raise InputError(f"label {labels.flat[bad[0]]} of node {bad[0]} is not an integer")
+        labels = _read_only(labels.astype(np.int64, copy=False))
         if n_classes is None:
             n_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
     graph = Graph(adj, _read_only(features), labels, n_classes)

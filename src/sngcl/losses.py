@@ -81,6 +81,18 @@ class EmbeddingBatch:
         for i, perm in enumerate(self.permutations):
             if perm.shape != shape[:1] or ((perm < 0) | (perm >= rows)).any():
                 raise InputError(f"permutation {i} must hold {shape[0]} indices in [0, {rows})")
+        # A NaN makes every hinge bracket test False, which would report a
+        # loss of 0 instead of failing.
+        checked = [
+            ("anchor", self.anchor),
+            ("structural positive", self.positive_struct),
+            ("neighbor positive", self.positive_neighbor),
+        ]
+        if self.negative_rows is not self.anchor:
+            checked.append(("negative rows", self.negative_rows))
+        for name, arr in checked:
+            if not np.isfinite(arr).all():
+                raise InputError(f"non-finite {name}")
 
 
 def sample_neighbor_indices(

@@ -148,18 +148,19 @@ def mlp_backward(
     d_out: np.ndarray,
     consume: Consumer,
     need_input_grad: bool = True,
-    scratch: np.ndarray | None = None,
+    *,
+    scratch: np.ndarray,
 ) -> np.ndarray | None:
     """Exact gradients of the forward map, handed to ``consume`` as they form.
 
     Each layer's gradients go to ``consume`` only after the layer's input
     gradient is formed from its weights, so the consumer may update them in
     place.  A layer that reads an array forms its weight and bias gradients
-    next to each other in ``scratch`` (a flat array of at least
-    :func:`scratch_size` elements; fresh when None) and hands them over as
-    one slice.  A first layer that reads an operator hands over its bias
-    gradient from ``scratch``, then its weight gradient in blocks of whole
-    rows, each at most ``BLOCK`` elements.
+    next to each other in ``scratch``, the caller's flat array of at least
+    :func:`scratch_size` elements, and hands them over as one slice.  A
+    first layer that reads an operator hands over its bias gradient from
+    ``scratch``, then its weight gradient in blocks of whole rows, each at
+    most ``BLOCK`` elements.
 
     Backprop runs over the cache's arrays: each hidden layer's input array
     ends up holding the gradient w.r.t. it, and, when ``need_input_grad``,
@@ -177,9 +178,7 @@ def mlp_backward(
     if operator_input and need_input_grad:
         raise InputError("an operator input has no input gradient")
     need = scratch_size(mlp, operator_input)
-    if scratch is None:
-        scratch = np.empty(need)
-    elif scratch.size < need:
+    if scratch.size < need:
         raise InputError(f"backward scratch holds {scratch.size} elements, needs {need}")
     start = list(accumulate((p.size for p in mlp.params()), initial=0))  # of W0, b0, W1, ...
     dz = d_out

@@ -116,17 +116,8 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def resolved(self, n_features: int) -> "TrainConfig":
-        """Copy with encoder/predictor widths filled in from the data."""
-        enc = list(self.encoder_dims) if self.encoder_dims else [
-            n_features, DEFAULT_HIDDEN, DEFAULT_EMBED,
-        ]
-        d = enc[-1]
-        pred = list(self.predictor_dims) if self.predictor_dims else [
-            d, DEFAULT_HIDDEN, d,
-        ]
-        return replace(self, encoder_dims=enc, predictor_dims=pred)
-
-    def validate(self, n_features: int) -> None:
+        """Copy with encoder/predictor widths filled in from the data, after
+        checking every setting; an out-of-range one is an :class:`InputError`."""
         if self.t < 0:
             raise InputError(f"t must be >= 0, got {self.t}")
         if self.epochs < 1:
@@ -139,26 +130,25 @@ class TrainConfig:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         _view_filters(self.view_mode)
         self.loss.validate()  # its fields can be set after construction
-        if self.encoder_dims is None or self.predictor_dims is None:
-            raise InputError("dims must be resolved before validation")
-        for name in ("encoder_dims", "predictor_dims"):
-            dims = getattr(self, name)
+        enc = list(self.encoder_dims) if self.encoder_dims else [
+            n_features, DEFAULT_HIDDEN, DEFAULT_EMBED,
+        ]
+        d = enc[-1]
+        pred = list(self.predictor_dims) if self.predictor_dims else [
+            d, DEFAULT_HIDDEN, d,
+        ]
+        for name, dims in (("encoder_dims", enc), ("predictor_dims", pred)):
             if len(dims) < 2 or min(dims) < 1:
                 raise InputError(f"{name} must be >= 2 positive layer widths, got {dims}")
-        if self.encoder_dims[0] != n_features:
+        if enc[0] != n_features:
+            raise InputError(f"encoder input dim {enc[0]} != feature width {n_features}")
+        if pred[0] != d:
+            raise InputError(f"predictor input dim {pred[0]} != encoder output dim {d}")
+        if pred[-1] != d:
             raise InputError(
-                f"encoder input dim {self.encoder_dims[0]} != feature width {n_features}"
+                f"predictor output dim must equal encoder output dim ({pred[-1]} vs {d})"
             )
-        if self.predictor_dims[0] != self.encoder_dims[-1]:
-            raise InputError(
-                f"predictor input dim {self.predictor_dims[0]} != encoder output "
-                f"dim {self.encoder_dims[-1]}"
-            )
-        if self.predictor_dims[-1] != self.encoder_dims[-1]:
-            raise InputError(
-                "predictor output dim must equal encoder output dim "
-                f"({self.predictor_dims[-1]} vs {self.encoder_dims[-1]})"
-            )
+        return replace(self, encoder_dims=enc, predictor_dims=pred)
 
 
 # --- the hyperparameter table -----------------------------------------------
@@ -372,7 +362,7 @@ def _epoch_backward(
     predictor: Mlp,
     plan: EpochPlan,
     consumers: Sequence[Consumer],
-    scratch: np.ndarray | None,
+    scratch: np.ndarray,
 ) -> None:
     """Backprop of the epoch's loss through the predictor, then the online
     encoder, over the arrays of ``fwd`` and ``out``.
@@ -413,7 +403,6 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
     epoch's momentum update; useful for instrumentation and invariants.
     """
     config = config.resolved(graph.n_features)
-    config.validate(graph.n_features)
     loss_cfg = config.loss
 
     online_input, target_input = resolve_view_inputs(graph, config.t, config.view_mode)
@@ -454,13 +443,10 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
             permutations=[rng_shuffle.permutation(graph.n_nodes) for _ in range(loss_cfg.k)],
         )
         fwd = _epoch_forward(online, predictor, target, online_input, target_input, plan, fwd)
-        # A NaN makes every hinge bracket test False, which would report a
-        # loss of 0 instead of failing.
-        checked = (("anchor", fwd.batch.anchor), ("structural positive", fwd.batch.positive_struct))
-        for name, arr in checked:
-            if not np.isfinite(arr).all():
-                raise TrainingDivergedError(f"non-finite {name} at epoch {epoch}")
-        out = total_loss(fwd.batch, loss_cfg, out)
+        try:
+            out = total_loss(fwd.batch, loss_cfg, out)
+        except InputError as exc:  # the batch is well formed, so a value is not finite
+            raise TrainingDivergedError(f"{exc} at epoch {epoch}") from exc
         if not np.isfinite(out.total):
             raise TrainingDivergedError(
                 f"non-finite loss {out.total} at epoch {epoch}"

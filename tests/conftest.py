@@ -15,7 +15,7 @@ import pytest
 
 from sngcl.data import SbmConfig, generate_sbm
 from sngcl.graph import RANDOM_WALK, build_graph
-from sngcl.nn import mlp_backward
+from sngcl.nn import mlp_backward, scratch_size
 from sngcl.training import _epoch_backward
 
 
@@ -126,19 +126,22 @@ def _collector(grads):
     return collect
 
 
-def collected_backward(mlp, cache, d_out, need_input_grad=True, scratch=None):
-    """``mlp_backward`` with every gradient it hands over copied into a
-    fresh Mlp: (gradients, input gradient or None)."""
+def collected_backward(mlp, cache, d_out, need_input_grad=True):
+    """``mlp_backward``, with a fresh scratch array, with every gradient it
+    hands over copied into a fresh Mlp: (gradients, input gradient or None)."""
     grads = mlp.zeros_like()
-    dx = mlp_backward(mlp, cache, d_out, _collector(grads), need_input_grad, scratch)
+    scratch = np.empty(scratch_size(mlp))
+    dx = mlp_backward(mlp, cache, d_out, _collector(grads), need_input_grad, scratch=scratch)
     return grads, dx
 
 
 def collected_epoch_backward(fwd, out, online, predictor, plan):
-    """``_epoch_backward`` with every gradient it hands over copied into two
-    fresh Mlps: (encoder gradients, predictor gradients)."""
+    """``_epoch_backward``, with a fresh scratch array, with every gradient
+    it hands over copied into two fresh Mlps: (encoder gradients, predictor
+    gradients)."""
     grads = (online.zeros_like(), predictor.zeros_like())
-    _epoch_backward(fwd, out, online, predictor, plan, [_collector(g) for g in grads], None)
+    scratch = np.empty(max(scratch_size(online), scratch_size(predictor)))
+    _epoch_backward(fwd, out, online, predictor, plan, [_collector(g) for g in grads], scratch)
     return grads
 
 

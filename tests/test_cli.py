@@ -1,6 +1,7 @@
 """Exercise the command line surface through run_command."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,29 @@ def test_runtime_errors_exit_1_with_diagnostic(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_of_an_unlabeled_dataset_exits_1_naming_it(sbm_dir, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
+    (sbm_dir / "labels.tsv").write_text("-1\n" * 40)
+    capsys.readouterr()
+    assert run_command([
+        "eval", "--data", str(sbm_dir), "--checkpoint", str(run_dir / "model.ckpt"),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {sbm_dir}: dataset has no labels to evaluate against\n"
+    )
+
+
+def test_a_missing_feature_table_exits_1_naming_it(sbm_dir, tmp_path, capsys):
+    (sbm_dir / "features.tsv").unlink()
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(sbm_dir / "features.tsv") in err
+    assert not run_dir.exists()
+
+
 def test_checkpoint_with_a_transposed_weight_exits_1(sbm_dir, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
@@ -570,6 +594,23 @@ def test_read_config_file_parses_and_strips(tmp_path):
         read_key_values(tmp_path / "absent.cfg")
 
 
+def test_a_repeated_key_is_a_parse_error_naming_its_line(tmp_path, sbm_dir, capsys):
+    # the last one used to win without a word
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("epochs=4\n# comment\nepochs=7\n")
+    with pytest.raises(ParseError, match=re.escape(f"{cfg}:3: repeated key 'epochs'")):
+        read_key_values(cfg)
+    assert run_command([
+        "train", "--data", str(sbm_dir), "--config", str(cfg), "--out", str(tmp_path / "m"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: repeated key 'epochs'\n"
+    assert not (tmp_path / "m").exists()
+    manifest = sbm_dir / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "n_nodes=3\n")
+    with pytest.raises(ParseError, match=re.escape(f"{manifest}:5: repeated key 'n_nodes'")):
+        load_canonical(sbm_dir)
+
+
 def test_preprocess_builds_canonical_dir_and_optional_views(tmp_path, capsys):
     content = tmp_path / "toy.content"
     cites = tmp_path / "toy.cites"
@@ -714,9 +755,7 @@ def test_ablate_prints_the_eval_warnings_per_view_mode(
     for mode in ("both", "global-only", "local-only"):
         assert f"warning: {mode}: probe did not converge on 2 of 2 splits" in err
 
-    from sngcl import training
-
-    monkeypatch.setattr(training, "encode", lambda model, graph, mode: np.ones((40, 4)))
+    monkeypatch.setattr(evaluation, "encode", lambda model, graph, mode: np.ones((40, 4)))
     assert run_command(ablate) == 0
     err = capsys.readouterr().err
     for mode in ("both", "global-only", "local-only"):

@@ -442,13 +442,12 @@ def test_evaluate_embeddings_rejects_an_empty_validation_or_test_part(spec):
 def test_run_ablation_rejects_an_empty_validation_or_test_part_before_training(
     spec, monkeypatch
 ):
-    from sngcl import training
     from sngcl.data import SbmConfig, generate_sbm
 
     def no_training(*args, **kwargs):
         raise AssertionError("trained before the split was checked")
 
-    monkeypatch.setattr(training, "train", no_training)
+    monkeypatch.setattr(evaluation, "train", no_training)
     graph = generate_sbm(SbmConfig(nodes_per_block=40, n_blocks=3, p_in=0.2, p_out=0.02))
     config = TrainConfig(epochs=1, encoder_dims=[16, 4, 2], predictor_dims=[2, 2])
     with pytest.raises(InputError, match=f"val_total={spec.val_total}"):
@@ -497,12 +496,10 @@ def test_run_ablation_pools_the_probe_results_of_every_row(sbm_tiny, monkeypatch
 
 
 def test_run_ablation_checks_every_split_before_training(sbm_tiny, monkeypatch):
-    from sngcl import training
-
     def no_training(*args, **kwargs):
         raise AssertionError("trained before the split was checked")
 
-    monkeypatch.setattr(training, "train", no_training)
+    monkeypatch.setattr(evaluation, "train", no_training)
     config = TrainConfig(epochs=1, encoder_dims=[16, 4, 2], predictor_dims=[2, 2])
     labeled = int(np.sum(sbm_tiny.labels >= 0))
     with pytest.raises(InputError, match="val_total"):

@@ -49,6 +49,17 @@ def test_build_graph_rejects_out_of_range_edges():
         build_graph([(-1, 0)], np.eye(3))
 
 
+def test_build_graph_rejects_non_integral_endpoints_and_labels():
+    # they used to be truncated: edge (0, 1.5) became (0, 1), label 0.7 became 0
+    for edge, shown in [((0, 1.5), "0.0, 1.5"), ((0, np.nan), "0.0, nan"), ((np.inf, 1), "inf, 1.0")]:
+        with pytest.raises(InputError, match=rf"edge \({shown}\) has an endpoint that is not an"):
+            build_graph([edge], np.eye(3))
+    with pytest.raises(InputError, match="label 0.7 of node 0 is not an integer"):
+        build_graph([(0, 1)], np.eye(3), labels=[0.7, 1.2, 0.0])
+    g = build_graph(np.array([[0.0, 2.0]]), np.eye(3), labels=[1.0, 0.0, -1.0])
+    assert g.adjacency[0, 2] == 1 and g.labels.tolist() == [1, 0, -1]
+
+
 def test_build_graph_label_checks():
     with pytest.raises(InputError):
         build_graph([(0, 1)], np.eye(3), labels=np.array([0, 1]))  # wrong length
@@ -198,7 +209,10 @@ def test_an_operator_input_has_no_input_gradient(path_graph):
     layer = init_mlp([path_graph.n_features, 2], np.random.default_rng(0))
     y, cache = mlp_forward(layer, smoothed_operator(path_graph, 1, SYMMETRIC))
     with pytest.raises(InputError, match="an operator input has no input gradient"):
-        mlp_backward(layer, cache, np.ones_like(y), lambda start, grad: None)
+        mlp_backward(
+            layer, cache, np.ones_like(y), lambda start, grad: None,
+            scratch=np.empty(scratch_size(layer)),
+        )
 
 
 def test_build_graph_rejects_non_finite_features():

@@ -282,6 +282,26 @@ def test_total_loss_validates_batch_shapes():
         total_loss(batch, LossConfig(k=1))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field, name", [
+    ("anchor", "anchor"),
+    ("positive_struct", "structural positive"),
+    ("positive_neighbor", "neighbor positive"),
+    ("negative_rows", "negative rows"),
+])
+def test_total_loss_rejects_a_non_finite_entry_in_any_array(field, name, value):
+    # a NaN anchor entry used to give a finite total with NaN gradient rows:
+    # every hinge bracket it touches tests False
+    rng = np.random.default_rng(0)
+    arrays = {f: rng.standard_normal((6, 3)) for f in (
+        "anchor", "positive_struct", "positive_neighbor", "negative_rows",
+    )}
+    arrays[field][2, 1] = value
+    batch = EmbeddingBatch(**arrays, permutations=[rng.permutation(6) for _ in range(2)])
+    with pytest.raises(InputError, match=f"non-finite {name}"):
+        total_loss(batch, LossConfig(k=2))
+
+
 @pytest.mark.parametrize("perm", [
     [0, 1, 3], [0, -1, 2], [0, 1], [0, 1, 2, 0], [[0, 1, 2]],
 ], ids=["past-the-end", "negative", "short", "long", "2-d"])

@@ -209,7 +209,10 @@ def test_backward_rejects_wrong_output_shape():
     mlp = init_mlp([3, 2], stream_rng(0, "init"))
     _, cache = mlp_forward(mlp, np.zeros((4, 3)))
     with pytest.raises(InputError, match="d_out"):
-        mlp_backward(mlp, cache, np.zeros((4, 3)), lambda start, grad: None)
+        mlp_backward(
+            mlp, cache, np.zeros((4, 3)), lambda start, grad: None,
+            scratch=np.empty(scratch_size(mlp)),
+        )
 
 
 def _moments(state, i=0):

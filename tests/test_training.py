@@ -650,7 +650,7 @@ def test_checkpoint_metadata_with_a_negative_seed_is_corruption():
     with pytest.raises(CheckpointCorruptionError, match="seed must be >= 0, got -1"):
         checkpoint._config_from_lines(V1_DEFAULT_METADATA.replace("seed=0", "seed=-1"))
     with pytest.raises(InputError, match="seed must be >= 0, got -1"):
-        small_config(seed=-1).resolved(16).validate(16)
+        small_config(seed=-1).resolved(16)
 
 
 @pytest.mark.parametrize("old, new", [
