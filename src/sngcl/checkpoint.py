@@ -14,8 +14,13 @@ import sys
 
 import numpy as np
 
-from .data import replacing
-from .errors import CheckpointCorruptionError, CheckpointFormatError, CheckpointVersionError
+from .data import parse_key_values, replacing
+from .errors import (
+    CheckpointCorruptionError,
+    CheckpointFormatError,
+    CheckpointVersionError,
+    ParseError,
+)
 from .nn import Mlp, ModelState
 from .training import (
     HYPERPARAMETERS,
@@ -45,13 +50,13 @@ _MAX_RANK = 8
 
 
 def _config_from_lines(text: str) -> TrainConfig:
-    kv = dict(line.partition("=")[::2] for line in text.splitlines() if line)
     try:
+        kv = parse_key_values(text, "metadata")
         values = {h.name: h.parse(kv[h.name]) for h in HYPERPARAMETERS}
         config = config_from_values(values).resolved(values["encoder_dims"][0])
     except KeyError as exc:
         raise CheckpointCorruptionError(f"metadata missing key {exc}") from exc
-    except ValueError as exc:  # InputError is a ValueError
+    except (ParseError, ValueError) as exc:  # InputError is a ValueError
         raise CheckpointCorruptionError(f"malformed metadata: {exc}") from exc
     return config
 

@@ -15,7 +15,6 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_history
 from .data import (
@@ -293,14 +292,6 @@ def _hyper_parser(rows) -> argparse.ArgumentParser:
     return p
 
 
-def _add_split_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("evaluation split")
-    g.add_argument("--train-per-class", type=int, default=20, help="training nodes per class")
-    g.add_argument(
-        "--val-total", type=int, default=SplitSpec.val_total, help="validation nodes overall",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
@@ -308,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised node embeddings from smoothed graph views.",
     )
     # the flags several subcommands take, each defined once, as a parent parser
-    data, checkpoint, embedding = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    data, checkpoint, embedding, split, report, dataset = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
     data.add_argument("--data", required=True, metavar="DIR", help="canonical dataset directory")
     checkpoint.add_argument(
         "--checkpoint", required=True, metavar="PATH", help=f"a train run's {CHECKPOINT_NAME}",
@@ -317,24 +310,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--embedding", choices=EMBED_MODES, default=EMBED_ONLINE_LOCAL,
         help="which embedding matrix to use",
     )
+    g = split.add_argument_group("evaluation split")
+    g.add_argument("--train-per-class", type=int, default=20, help="training nodes per class")
+    g.add_argument(
+        "--val-total", type=int, default=SplitSpec.val_total, help="validation nodes overall",
+    )
+    report.add_argument(
+        "--out", default=None, metavar="PATH", help="write the report here instead of stdout",
+    )
+    dataset.add_argument("--out", required=True, metavar="DIR", help="output dataset directory")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser(
-        "gen-sbm", formatter_class=fmt,
+        "gen-sbm", parents=[dataset], formatter_class=fmt,
         help="sample a block-model graph and write it in canonical form",
     )
-    hints = get_type_hints(SbmConfig)
     for f in fields(SbmConfig):
         name = f.metadata.get("flag", f.name)
         p.add_argument(
-            _flag(name), dest=f.name, type=hints[f.name], default=f.default,
+            _flag(name), dest=f.name, type=f.type, default=f.default,
             metavar=name.upper(), help=f.metadata["help"],
         )
-    p.add_argument("--out", required=True, metavar="DIR", help="output dataset directory")
     p.set_defaults(func=cmd_gen_sbm)
 
     p = sub.add_parser(
-        "preprocess", formatter_class=fmt,
+        "preprocess", parents=[dataset], formatter_class=fmt,
         help="parse a citation network into a canonical dataset directory",
     )
     p.add_argument("--content", required=True, metavar="PATH", help=".content file")
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--raw-features", action="store_true",
         help="keep raw feature rows instead of normalizing each to sum 1",
     )
-    p.add_argument("--out", required=True, metavar="DIR", help="output dataset directory")
     p.add_argument(
         "--views-out", default=None, metavar="DIR",
         help="also write the two smoothed feature matrices as TSV here",
@@ -362,15 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
-        "eval", parents=[data, checkpoint, embedding], formatter_class=fmt,
+        "eval", parents=[data, checkpoint, embedding, split, report], formatter_class=fmt,
         help="probe a checkpoint's embeddings over stratified splits",
     )
-    _add_split_args(p)
     p.add_argument(
         "--splits", type=int, default=10,
         help="evaluate over split seeds 0..N-1",
     )
-    p.add_argument("--out", default=None, metavar="PATH", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
@@ -384,15 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     # ablate trains every view mode on every --train-seeds seed
     ablated = [h for h in HYPERPARAMETERS if h.name not in ("seed", "view_mode")]
     p = sub.add_parser(
-        "ablate", parents=[data, embedding, _hyper_parser(ablated)], formatter_class=fmt,
+        "ablate", parents=[data, embedding, _hyper_parser(ablated), split, report],
+        formatter_class=fmt,
         help="compare view modes: train and probe each over several seeds",
     )
     p.add_argument(
         "--train-seeds", type=int_list, default=[0, 1, 2], metavar="S0,S1,...",
         help="one training run per seed per view mode",
     )
-    _add_split_args(p)
-    p.add_argument("--out", default=None, metavar="PATH", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -10,8 +10,7 @@ cannot verify goes to ``np.loadtxt`` whole, which names what is wrong.  Every
 file the package writes goes through :func:`replacing`, so a failed write
 leaves the previous file in place."""
 
-from __future__ import annotations
-
+import io
 import os
 import warnings
 from contextlib import contextmanager
@@ -162,25 +161,32 @@ def save_canonical(graph: Graph, directory) -> None:
         np.savetxt(f, labels, fmt="%d")
 
 
-def read_key_values(path: Path) -> dict[str, str]:
-    """The ``key=value`` lines of a manifest or a ``--config`` file, keys
-    and values stripped; blank lines and ``#`` comments are skipped, and a
-    key given twice is an error."""
-    if not path.is_file():
-        raise ParseError(f"{path}: not found")
-    kv = {}  # an undecodable byte becomes U+FFFD and fails as a key or a value would
-    for lineno, line in enumerate(path.read_text("utf-8", "replace").splitlines(), 1):
+def parse_key_values(text: str, source) -> dict[str, str]:
+    """The ``key=value`` lines of a manifest, a ``--config`` file or a
+    checkpoint's metadata, keys and values stripped; blank lines and ``#``
+    comments are skipped.  A line without ``=`` or a key given twice is a
+    :class:`ParseError` naming ``source`` and the line."""
+    kv = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ParseError(f"{path}:{lineno}: expected key=value")
+            raise ParseError(f"{source}:{lineno}: expected key=value")
         key = key.strip()
         if key in kv:
-            raise ParseError(f"{path}:{lineno}: repeated key {key!r}")
+            raise ParseError(f"{source}:{lineno}: repeated key {key!r}")
         kv[key] = value.strip()
     return kv
+
+
+def read_key_values(path: Path) -> dict[str, str]:
+    """:func:`parse_key_values` of a file; an undecodable byte becomes
+    U+FFFD and fails as a key or a value would."""
+    if not path.is_file():
+        raise ParseError(f"{path}: not found")
+    return parse_key_values(path.read_text("utf-8", "replace"), path)
 
 
 def _manifest_int(kv: dict, key: str, path: Path) -> int:
@@ -224,21 +230,6 @@ def _read_table(
 
 
 TABLE_CHUNK_BYTES = 1 << 17  # what the feature reader parses at once
-
-
-def _line_chunks(f):
-    """The bytes of ``f`` in pieces of about ``TABLE_CHUNK_BYTES`` that each
-    end with a newline; a last line without one is given one."""
-    tail = b""
-    while block := f.read(TABLE_CHUNK_BYTES):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield tail + block[:cut]
-            tail = block[cut:]
-        else:
-            tail += block
-    if tail:
-        yield tail if tail.endswith(b"\n") else tail + b"\n"
 
 
 def _nonzero_fields(chunk: bytes, width: int) -> tuple[int, np.ndarray, np.ndarray] | None:
@@ -290,7 +281,7 @@ def _read_mostly_zero(path: Path, rows: int, width: int) -> np.ndarray | None:
     that are not exactly ``0``: each chunk of lines hands those to
     ``np.loadtxt`` at once and the rest stay zero.  None when its layout is
     not ``rows`` lines of ``width`` fields."""
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=max(TABLE_CHUNK_BYTES, io.DEFAULT_BUFFER_SIZE)) as f:
         # a field takes at least two bytes: a shorter file cannot hold the
         # table, and the zeroed table is at most four times the file's size
         if width < 1 or 2 * rows * width > os.fstat(f.fileno()).st_size:
@@ -298,8 +289,10 @@ def _read_mostly_zero(path: Path, rows: int, width: int) -> np.ndarray | None:
         table = np.zeros((rows, width))
         flat = table.reshape(-1)
         done = 0
-        for chunk in _line_chunks(f):
-            fields = _nonzero_fields(chunk, width)
+        while chunk := f.readlines(TABLE_CHUNK_BYTES):  # whole lines, about that many bytes
+            if not chunk[-1].endswith(b"\n"):  # a last line without a newline gets one
+                chunk[-1] += b"\n"
+            fields = _nonzero_fields(b"".join(chunk), width)
             if fields is None or done + fields[0] > rows:
                 return None
             lines, index, values = fields

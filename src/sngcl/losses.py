@@ -15,8 +15,6 @@ row-stochastic sampling operator S of :func:`neighbor_operator`, whose
 transpose carries the gradient back.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -229,7 +229,8 @@ class AdamState:
     trained network.
 
     ``scratch`` holds two work arrays of up to BLOCK elements, which every
-    block reuses, so that a step allocates nothing.
+    block reuses, so that a step allocates nothing; between steps, training
+    lends the first to :func:`momentum_update`.
     """
 
     step: int
@@ -286,9 +287,11 @@ def adam_step(
         p -= np.divide(u, v, out=u)
 
 
-def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:
+def momentum_update(target: Mlp, online: Mlp, m: float, work: np.ndarray) -> Mlp:
     """EMA update ``target <- m * target + (1 - m) * online``, elementwise
-    and in place; returns ``target``.
+    and in place; returns ``target``.  ``work`` is the caller's flat array
+    of at least ``min(BLOCK, target.buffer.size)`` elements, which every
+    block reuses, so that an update allocates nothing.
 
     This is the only path through which target parameters ever change; no
     gradient flows into the target network anywhere in the system.
@@ -297,10 +300,12 @@ def momentum_update(target: Mlp, online: Mlp, m: float) -> Mlp:
         raise InputError(f"momentum must lie in [0, 1], got {m}")
     if target.dims != online.dims:
         raise InputError("target / online layer shapes disagree")
-    scratch = np.empty(min(BLOCK, target.buffer.size))
+    need = min(BLOCK, target.buffer.size)
+    if work.size < need:
+        raise InputError(f"EMA work array holds {work.size} elements, needs {need}")
     for tp, op in _blocks(target.buffer, online.buffer):
         tp *= m
-        tp += np.multiply(1.0 - m, op, out=scratch[: tp.size])
+        tp += np.multiply(1.0 - m, op, out=work[: tp.size])
     return target
 
 

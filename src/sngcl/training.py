@@ -21,12 +21,9 @@ by ``SPARSE_COST``; it reads only the input, so a seed still gives
 byte-identical runs.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,11 +103,11 @@ class TrainConfig:
         "choices": VIEW_MODES,
     })
     encoder_dims: list[int] | None = field(default=None, metadata={
-        "help": "encoder layer widths (default: n_features,512,256)",
+        "help": f"encoder layer widths (default: n_features,{DEFAULT_HIDDEN},{DEFAULT_EMBED})",
         "metavar": DIMS_METAVAR,
     })
     predictor_dims: list[int] | None = field(default=None, metadata={
-        "help": "predictor layer widths (default: d,512,d)",
+        "help": f"predictor layer widths (default: d,{DEFAULT_HIDDEN},d)",
         "metavar": DIMS_METAVAR,
     })
     loss: LossConfig = field(default_factory=LossConfig)
@@ -163,7 +160,7 @@ def int_list(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-# field annotation -> (parse text, format value).  The formats are those of
+# field type -> (parse text, format value).  The formats are those of
 # checkpoint format version 1, such as ``repr`` for floats.
 _CODECS = {
     int: (int, str),
@@ -186,21 +183,13 @@ class Hyperparameter:
     format: Callable[[object], str]
 
 
-# A config class's resolved field annotations, computed once: resolving
-# them took about 0.3 ms a class on a 2-vCPU x86-64 host, at every
-# checkpoint load.
-_type_hints = cache(get_type_hints)
-
-
 def _table(cls) -> list[Hyperparameter]:
     rows = []
-    hints = _type_hints(cls)
     for f in fields(cls):
-        kind = hints[f.name]
-        if is_dataclass(kind):
-            rows += _table(kind)
+        if is_dataclass(f.type):
+            rows += _table(f.type)
             continue
-        parse, fmt = _CODECS[kind]
+        parse, fmt = _CODECS[f.type]
         rows.append(Hyperparameter(
             name=f.name, default=f.default, help=f.metadata["help"],
             choices=f.metadata.get("choices"), metavar=f.metadata.get("metavar"),
@@ -234,11 +223,10 @@ def config_lines(config: TrainConfig, rows=HYPERPARAMETERS) -> str:
 def config_from_values(values, cls=TrainConfig):
     """Build a config dataclass from a flat name -> value map; absent fields
     keep their defaults and names that are no field are ignored."""
-    hints = _type_hints(cls)
     kwargs = {}
     for f in fields(cls):
-        if is_dataclass(hints[f.name]):
-            kwargs[f.name] = config_from_values(values, hints[f.name])
+        if is_dataclass(f.type):
+            kwargs[f.name] = config_from_values(values, f.type)
         elif f.name in values:
             kwargs[f.name] = values[f.name]
     return cls(**kwargs)
@@ -453,7 +441,8 @@ def train(graph: Graph, config: TrainConfig, epoch_callback=None) -> TrainedMode
             )
         optimizer.step += 1
         _epoch_backward(fwd, out, online, predictor, plan, consumers, scratch)
-        momentum_update(target, online, config.momentum)
+        # Adam's step is done, and its work array is as long as the EMA's needs to be
+        momentum_update(target, online, config.momentum, optimizer.scratch[0])
         history[epoch - 1] = (epoch, out.total, out.l_struct, out.l_neighbor, out.l_upper)
         if epoch_callback is not None:
             epoch_callback(epoch, state)

@@ -410,6 +410,21 @@ def test_a_write_into_a_missing_directory_names_the_path_given(sbm_dir, tmp_path
     assert not (tmp_path / "missing").exists()
 
 
+def test_checkpoint_with_a_repeated_key_exits_1_naming_it(sbm_dir, tmp_path):
+    # the last t=7 used to win, and the model encoded at depth 7
+    run_dir = tmp_path / "run"
+    assert run_command(["train", "--data", str(sbm_dir), *TRAIN_FAST, "--out", str(run_dir)]) == 0
+    ckpt = run_dir / "model.ckpt"
+    rewrite_checkpoint_metadata(ckpt, b"t=3\n", b"t=3\nt=7\n")
+    out = _sngcl(
+        "eval", "--data", sbm_dir, "--checkpoint", ckpt,
+        "--train-per-class", "5", "--val-total", "5", "--splits", "1", cwd=tmp_path,
+    )
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "error: malformed metadata: metadata:2: repeated key 't'\n"
+
+
 @pytest.mark.parametrize("command", ["eval", "embed"])
 def test_checkpoint_with_a_negative_seed_exits_1(sbm_dir, tmp_path, capsys, command):
     # no train run writes seed=-1, so a checkpoint holding it is corrupt

@@ -353,9 +353,10 @@ def test_momentum_update_over_several_blocks_is_bitwise_equal_to_the_elementwise
     target = init_mlp(BLOCKED_DIMS, stream_rng(1, "init"))
     assert target.buffer.size > 2 * BLOCK and target.buffer.size % BLOCK
     want = target.buffer.copy()
+    work = np.empty(BLOCK)
     for m in (0.8, 0.3, 0.99):
         want = m * want + (1.0 - m) * online.buffer
-        momentum_update(target, online, m)
+        momentum_update(target, online, m, work)
         assert target.buffer.tobytes() == want.tobytes()
 
 
@@ -364,7 +365,7 @@ def test_momentum_update_works_in_place_bitwise():
     target = init_mlp([6, 4, 3], stream_rng(1, "init"))
     arrays = target.params()
     want = [0.8 * t + (1.0 - 0.8) * o for t, o in zip(target.params(), online.params())]
-    assert momentum_update(target, online, 0.8) is target
+    assert momentum_update(target, online, 0.8, np.empty(target.buffer.size)) is target
     for before, after, w in zip(arrays, target.params(), want):
         assert after is before
         assert after.tobytes() == w.tobytes()
@@ -374,7 +375,7 @@ def test_momentum_update_is_a_convex_combination():
     online = init_mlp([4, 3], stream_rng(0, "init"))
     target = init_mlp([4, 3], stream_rng(1, "init"))
     expected = 0.25 * target.weights[0] + 0.75 * online.weights[0]
-    updated = momentum_update(target, online, 0.25)
+    updated = momentum_update(target, online, 0.25, np.empty(target.buffer.size))
     np.testing.assert_array_equal(updated.weights[0], expected)
 
 
@@ -382,17 +383,34 @@ def test_momentum_update_edge_cases():
     online = init_mlp([4, 3], stream_rng(0, "init"))
     frozen = init_mlp([4, 3], stream_rng(1, "init"))
     before = frozen.copy()
-    momentum_update(frozen, online, 1.0)
+    work = np.empty(online.buffer.size)
+    momentum_update(frozen, online, 1.0, work)
     np.testing.assert_array_equal(frozen.weights[0], before.weights[0])
 
     tracked = init_mlp([4, 3], stream_rng(2, "init"))
-    momentum_update(tracked, online, 0.0)
+    momentum_update(tracked, online, 0.0, work)
     np.testing.assert_array_equal(tracked.weights[0], online.weights[0])
 
     with pytest.raises(InputError):
-        momentum_update(frozen, online, 1.5)
+        momentum_update(frozen, online, 1.5, work)
     with pytest.raises(InputError):
-        momentum_update(init_mlp([4, 2], stream_rng(0, "init")), online, 0.5)
+        momentum_update(init_mlp([4, 2], stream_rng(0, "init")), online, 0.5, work)
+    with pytest.raises(InputError, match="holds 14 elements, needs 15"):
+        momentum_update(frozen, online, 0.5, work[:-1])
+    np.testing.assert_array_equal(frozen.buffer, before.buffer)  # nothing written
+
+
+def test_momentum_update_allocates_nothing_the_size_of_a_parameter_tensor():
+    online = init_mlp(BLOCKED_DIMS, stream_rng(0, "init"))
+    target = init_mlp(BLOCKED_DIMS, stream_rng(1, "init"))
+    work = np.empty(BLOCK)
+    tracemalloc.start()
+    try:
+        momentum_update(target, online, 0.8, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(p.nbytes for p in target.params())
 
 
 def test_trainable_params_exclude_the_target_network():

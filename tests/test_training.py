@@ -511,7 +511,7 @@ def _reference_train(graph, config):
             [net.buffer for net in nets], [g.buffer for g in grads],
             moments[:2], moments[2:], epoch, config.lr,
         )
-        momentum_update(target, online, config.momentum)
+        momentum_update(target, online, config.momentum, np.empty(target.buffer.size))
         history[epoch - 1] = (epoch, out.total, out.l_struct, out.l_neighbor, out.l_upper)
     return history, online, predictor, target, moments
 
@@ -640,6 +640,9 @@ def test_checkpoint_metadata_errors_are_corruption():
         ("alpha=1.0", "alpha=nan"),
         ("beta=1.0", "beta=-1.0"),
         ("omega1=1.0", "omega1=inf"),
+        # lines that --config and manifest.txt reject too
+        ("t=3\n", "t=3\nt=7\n"),  # the last t used to win
+        ("k=5\n", "k=5\nk\n"),
     ):
         with pytest.raises(CheckpointCorruptionError, match="malformed"):
             checkpoint._config_from_lines(V1_DEFAULT_METADATA.replace(old, new))
